@@ -9,11 +9,12 @@ relative AMADO errors.
 
 from dataclasses import dataclass, field, replace
 
-from .drive import CircuitParams
+from .drive import CircuitParams, PwmConfig
 from .errors import ParameterError
 from .mechanics import ActuatorGeometry
-from .metrology import FirSpec, compute_amado, run_mode_trace
-from .drive import PwmConfig
+from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec, measure_amado
+# unused here, but perfbench's tracing tests look run_mode_trace up in this module
+from .metrology import run_mode_trace  # noqa: F401
 from .sma import Environment, WireProperties
 
 # name -> (which object it lives on, attribute)
@@ -53,12 +54,12 @@ class CalibrationProblem:
     bounds default to DEFAULT_BOUNDS for any free parameter not listed.
     """
 
-    free: tuple                      # parameter names
-    targets: tuple                   # of (f, dc, amado_mm)
+    free: tuple = ("g_tip", "h", "k_beam")   # parameter names
+    targets: tuple = ((1.0, 0.10, 7.08),)    # of (f, dc, amado_mm)
     bounds: dict = field(default_factory=dict)
-    budget: int = 200                # max model evaluations
-    run_length: float = 30.0         # s per evaluation cell
-    steady_window: float = 15.0      # s
+    budget: int = 150                        # max model evaluations
+    run_length: float = RUN_LENGTH           # s per evaluation cell
+    steady_window: float = STEADY_WINDOW     # s
     initial_step: float = 0.25       # fraction of each bound range
     step_floor: float = 1e-3
 
@@ -76,6 +77,9 @@ class CalibrationProblem:
                 raise ParameterError(f"target must be (f, dc, amado_mm > 0), got {tgt}")
         if self.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {self.budget}")
+        if self.steady_window > self.run_length:
+            raise ParameterError(f"steady_window {self.steady_window} s exceeds "
+                                 f"run_length {self.run_length} s")
         for name, (lo, hi) in self.bounds.items():
             if hi <= lo:
                 raise ParameterError(f"bounds for {name!r} must satisfy lo < hi")
@@ -108,27 +112,29 @@ def apply_parameters(values: dict, props: WireProperties, env: Environment,
 
 def evaluate_targets(targets, params: CircuitParams, props: WireProperties,
                      env: Environment, geom: ActuatorGeometry,
-                     run_length, steady_window, sample_rate=2000.0):
-    """Model AMADO (mm) for every target cell."""
-    fir = FirSpec(fs=sample_rate)
-    predictions = []
-    for frequency, duty_cycle, _ in targets:
-        cfg = PwmConfig(frequency=frequency, duty_cycle=duty_cycle,
-                        mode="bimorph", sample_rate=sample_rate)
-        trace = run_mode_trace(cfg, params, props, env, geom, run_length)
-        res = compute_amado(trace.delta, frequency, run_length, steady_window,
-                            fs=sample_rate, fir=fir)
-        predictions.append(res.amado)
-    return predictions
+                     run_length, steady_window, sample_rate=None,
+                     pwm: PwmConfig = PwmConfig(), fir: FirSpec | None = None):
+    """Model AMADO (mm) for every target cell.
+
+    Each cell is cut from the pwm template (see measure_amado); sample_rate,
+    when given, replaces the template's sample rate.
+    """
+    if sample_rate is not None:
+        pwm = replace(pwm, sample_rate=sample_rate)
+    return [measure_amado(pwm, frequency, duty_cycle, params, props, env, geom,
+                          run_length, steady_window, fir).amado
+            for frequency, duty_cycle, _ in targets]
 
 
 def calibrate(problem: CalibrationProblem, params: CircuitParams,
-              props: WireProperties, env: Environment,
-              geom: ActuatorGeometry) -> CalibrationResult:
+              props: WireProperties, env: Environment, geom: ActuatorGeometry,
+              pwm: PwmConfig = PwmConfig(), fir: FirSpec | None = None) -> CalibrationResult:
     """Minimize the summed squared relative AMADO error over the free set.
 
-    Returns the best parameters found; converged is False when the budget
-    ran out before the coordinate step shrank to the floor.
+    Every evaluation measures the targets with the pwm drive template and
+    the fir design (see measure_amado).  Returns the best parameters found;
+    converged is False when the budget ran out before the coordinate step
+    shrank to the floor.
     """
     names = list(problem.free)
     lo = {n: problem.bound(n)[0] for n in names}
@@ -146,7 +152,8 @@ def calibrate(problem: CalibrationProblem, params: CircuitParams,
         evaluations += 1
         p, e, g = apply_parameters(values, props, env, geom)
         predictions = evaluate_targets(problem.targets, params, p, e, g,
-                                       problem.run_length, problem.steady_window)
+                                       problem.run_length, problem.steady_window,
+                                       pwm=pwm, fir=fir)
         residuals = [(pred - tgt[2]) / tgt[2]
                      for pred, tgt in zip(predictions, problem.targets)]
         return sum(r * r for r in residuals), tuple(residuals)

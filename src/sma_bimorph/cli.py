@@ -15,6 +15,7 @@ All outputs are deterministic functions of the config text and command;
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +25,16 @@ from .calibration import calibrate
 from .config import ScenarioConfig, parse_config
 from .csvio import (POWER_SCHEMA, SPEED_SCAN_SCHEMA, SWEEP_SCHEMA, TRACE_SCHEMA,
                     TRAJECTORY_SCHEMA, write_csv)
-from .drive import PwmConfig, average_power, make_pwm_pair
+from .drive import average_power, make_pwm_pair
 from .errors import ConfigError, SimulationError
 from .mechanics import run_mode_trace
-from .metrology import FirSpec, compute_amado, design_fir, filter_zero_phase, run_sweep
-from .sma import Environment
-
-
-def _fir(cfg: ScenarioConfig) -> FirSpec:
-    return FirSpec(order=cfg.fir_order, cutoff=cfg.fir_cutoff, fs=cfg.pwm.sample_rate)
+from .metrology import design_fir, filter_zero_phase, measure_amado, run_sweep
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
     trace = run_mode_trace(cfg.pwm, cfg.circuit, cfg.props, cfg.env, cfg.geom,
                            cfg.duration)
-    filtered = filter_zero_phase(design_fir(_fir(cfg)), trace.delta)
+    filtered = filter_zero_phase(design_fir(cfg.fir), trace.delta)
     rows = zip(trace.t, trace.delta * 1e3, filtered * 1e3)
     return [write_csv(out_dir / f"{cfg.scenario}_trace.csv", TRACE_SCHEMA, rows)]
 
@@ -46,13 +42,12 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]
 def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
     table = run_sweep(cfg.sweep_frequencies, cfg.sweep_duty_cycles, cfg.circuit,
                       cfg.props, cfg.env, cfg.geom, run_length=cfg.run_length,
-                      steady_window=cfg.steady_window, fir=_fir(cfg),
-                      sample_rate=cfg.pwm.sample_rate, threads=threads)
-    for (f, dc), message in sorted(table.errors.items()):
-        print(f"sweep cell (f={f:g} Hz, DC={dc:g}) failed: {message}", file=sys.stderr)
+                      steady_window=cfg.steady_window, fir=cfg.fir, pwm=cfg.pwm,
+                      threads=threads)
     rows = [(r.frequency, r.duty_cycle * 100.0, r.amado, r.std, r.normalized)
             for r in table.rows]
-    for (f, dc) in sorted(table.errors):
+    for (f, dc), message in sorted(table.errors.items()):
+        print(f"sweep cell (f={f:g} Hz, DC={dc:g}) failed: {message}", file=sys.stderr)
         rows.append((f, dc * 100.0, math.nan, math.nan, math.nan))
     rows.sort(key=lambda row: (row[0], row[1]))
     return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA, rows)]
@@ -67,7 +62,8 @@ def cmd_power(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
 
 
 def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
-    result = calibrate(cfg.calibration, cfg.circuit, cfg.props, cfg.env, cfg.geom)
+    result = calibrate(cfg.calibration, cfg.circuit, cfg.props, cfg.env, cfg.geom,
+                       pwm=cfg.pwm, fir=cfg.fir)
     lines = [f"scenario: {cfg.scenario}",
              f"converged: {'yes' if result.converged else 'no (budget exhausted)'}",
              f"evaluations: {result.evaluations}",
@@ -87,24 +83,14 @@ def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path
 
 
 def cmd_swim(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
-    water_env = Environment(t_amb=cfg.env.t_amb,
-                            convection_multiplier=cfg.swim_convection_multiplier)
-    fir = _fir(cfg)
-
-    def tail_amplitude(frequency):
-        pwm = PwmConfig(frequency=frequency, duty_cycle=cfg.swimmer.duty_cycle,
-                        on_height=cfg.pwm.on_height, phase_shift=cfg.pwm.phase_shift,
-                        mode="bimorph", sample_rate=cfg.pwm.sample_rate)
-        trace = run_mode_trace(pwm, cfg.circuit, cfg.props, water_env, cfg.geom,
-                               cfg.run_length)
-        res = compute_amado(trace.delta, frequency, cfg.run_length, cfg.steady_window,
-                            fs=cfg.pwm.sample_rate, fir=fir)
-        return cfg.swimmer.tail_gain * (res.amado * 1e-3) / 2.0
-
+    water_env = replace(cfg.env, convection_multiplier=cfg.swim_convection_multiplier)
     # trajectory at the configured drive frequency; the soft tail transmits
     # only the fundamental of the actuator motion, so the swimmer is driven
     # sinusoidally at the amplitude taken from the displacement trace
-    amp = tail_amplitude(cfg.swim_drive_frequency)
+    stroke = measure_amado(cfg.pwm, cfg.swim_drive_frequency, cfg.swimmer.duty_cycle,
+                           cfg.circuit, cfg.props, water_env, cfg.geom,
+                           cfg.run_length, cfg.steady_window, cfg.fir)
+    amp = cfg.swimmer.tail_gain * (stroke.amado * 1e-3) / 2.0
     dt = 1.0 / cfg.pwm.sample_rate
     n = int(round(cfg.steady_window * cfg.pwm.sample_rate))
     t = np.arange(n) * dt
@@ -158,13 +144,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text(encoding="utf-8") if args.config else ""
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
+        cfg = parse_config(args.config.read_text(encoding="utf-8") if args.config else "")
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for warning in cfg.warnings:

@@ -6,6 +6,7 @@ type-checked and the module invariants run before any simulation starts.
 An empty file (or empty string) yields the characterization protocol the
 hardware used: 2 kHz sampling, 15 V supply / 250 mA on-state, 30 s runs
 with a 15 s steady window, the published frequency and duty-cycle grid.
+Each default is the default of the dataclass field its key maps to.
 """
 
 import math
@@ -17,108 +18,158 @@ from .calibration import FREE_PARAMETERS, CalibrationProblem
 from .drive import CircuitParams, PwmConfig
 from .errors import ConfigError, ParameterError
 from .mechanics import ActuatorGeometry
+from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec
 from .sma import Environment, WireProperties
 from .swimmer import SwimmerParams
 
 _NUMBER = (int, float)
 
 
-def _schema():
-    """section -> key -> (expected type tag, default)."""
-    return {
-        "drive": {
-            "frequency_hz": ("number", 1.0),
-            "duty_cycle_pct": ("number", 10.0),
-            "on_height_v": ("number", 15.0),
-            "phase_shift": ("number", 0.5),
-            "mode": ("string", "bimorph"),
-            "sample_rate_hz": ("number", 2000.0),
-            "duration_s": ("number", 30.0),
-            "r_a_ohm": ("number", 4.45),
-            "i_limit_a": ("number", 0.250),
-            "i_on_a": ("number", 0.250),
-        },
-        "sma": {
-            "diameter_m": ("number", 38.1e-6),
-            "active_length_m": ("number", 12.4e-3),
-            "parallel_strands": ("integer", 2),
-            "density_kg_m3": ("number", 6450.0),
-            "specific_heat_j_kg_k": ("number", 500.0),
-            "convection_w_m2_k": ("number", 150.0),
-            "m_f_k": ("number", 313.15),
-            "m_s_k": ("number", 333.15),
-            "a_s_k": ("number", 343.15),
-            "a_f_k": ("number", 363.15),
-            "stress_coeff_m_pa_k": ("number", 7.0e6),
-            "stress_coeff_a_pa_k": ("number", 7.0e6),
-            "modulus_austenite_pa": ("number", 75.0e9),
-            "modulus_martensite_pa": ("number", 28.0e9),
-            "max_recoverable_strain": ("number", 0.04),
-            "resistivity_ohm_m": ("number", 8.2e-7),
-            "pre_strain": ("number", 4.0e-4),
-            "latent_heat_j_kg": ("number", 0.0),
-        },
-        "environment": {
-            "ambient_k": ("number", 293.15),
-            "convection_multiplier": ("number", 1.0),
-        },
-        "geometry": {
-            "length_m": ("number", 14e-3),
-            "wire_angle_deg": ("number", 3.0),
-            "moment_arm_m": ("number", 1.6e-3),
-            "beam_stiffness_nm_rad": ("number", 8e-3),
-            "tip_gain_m_rad": ("number", 17e-3),
-            "mass_kg": ("number", 10e-6),
-            "volume_m3": ("number", 4.8e-9),
-            "mount_offset_m": ("number", 5e-3),
-            "beam_radius_m": ("number", 7.5e-5),
-            "anchor_standoff_m": ("number", 1e-4),
-        },
-        "metrology": {
-            "fir_order": ("integer", 1000),
-            "fir_cutoff_hz": ("number", 100.0),
-            "run_s": ("number", 30.0),
-            "steady_window_s": ("number", 15.0),
-            "frequencies_hz": ("number_list", [1.0, 5.0, 10.0, 15.0, 20.0]),
-            "duty_cycles_pct": ("number_list", [float(d) for d in range(1, 11)]),
-        },
-        "swimmer": {
-            "body_length_m": ("number", 34e-3),
-            "mass_kg": ("number", 30e-6),
-            "head_lateral_cda_m2": ("number", 2e-4),
-            "tail_lateral_cda_m2": ("number", 2e-5),
-            "thrust_coeff": ("number", 1.4e-8),
-            "longitudinal_cda_m2": ("number", 1e-4),
-            "linear_drag_n_s_m": ("number", 1e-5),
-            "water_density_kg_m3": ("number", 998.0),
-            "kinematic_viscosity_m2_s": ("number", 1.0e-6),
-            "duty_cycle": ("number", 0.12),
-            "tail_gain_rad_m": ("number", 200.0),
-            "tail_lever_m": ("number", 13e-3),
-            "head_lever_m": ("number", 12e-3),
-            "yaw_ref_speed_m_s": ("number", 0.1),
-            "drive_frequency_hz": ("number", 3.0),
-            "water_convection_multiplier": ("number", 1.5),
-            "scan_frequencies_hz": ("number_list", [1.0, 2.0, 3.0, 4.0]),
-        },
-        "calibration": {
-            "free_parameters": ("string_list", ["g_tip", "h", "k_beam"]),
-            "targets": ("target_list", [[1.0, 10.0, 7.08]]),
-            "budget": ("integer", 150),
-            "bounds": ("bounds_map", {}),
-            "run_s": ("number", 30.0),
-            "steady_window_s": ("number", 15.0),
-        },
-        "run": {
-            "scenario": ("string", "default"),
-            "out_dir": ("string", "out"),
-        },
-    }
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Validated configuration for every subcommand."""
+
+    pwm: PwmConfig
+    circuit: CircuitParams
+    props: WireProperties
+    env: Environment
+    geom: ActuatorGeometry
+    fir: FirSpec
+    swimmer: SwimmerParams
+    calibration: CalibrationProblem
+    duration: float = RUN_LENGTH          # s, simulate and power
+    run_length: float = RUN_LENGTH        # s per sweep and swim cell
+    steady_window: float = STEADY_WINDOW  # s
+    sweep_frequencies: tuple = (1.0, 5.0, 10.0, 15.0, 20.0)
+    sweep_duty_cycles: tuple = tuple(d / 100.0 for d in range(1, 11))   # fractions
+    swim_drive_frequency: float = 3.0     # Hz
+    swim_convection_multiplier: float = 1.5
+    swim_scan_frequencies: tuple = (1.0, 2.0, 3.0, 4.0)
+    scenario: str = "default"
+    out_dir: str = "out"
+    warnings: tuple = field(default_factory=tuple)
+
+
+def _percent(value):
+    return value / 100.0
+
+
+def _percents(values):
+    return tuple(v / 100.0 for v in values)
+
+
+def _targets(values):
+    return tuple((f, dc / 100.0, amado) for f, dc, amado in values)
+
+
+# section -> key -> (type tag, owning dataclass, field, conversion from the
+# file's unit to the field's, None when they agree)
+_KEYS = {
+    "drive": {
+        "frequency_hz": ("number", PwmConfig, "frequency", None),
+        "duty_cycle_pct": ("number", PwmConfig, "duty_cycle", _percent),
+        "on_height_v": ("number", PwmConfig, "on_height", None),
+        "phase_shift": ("number", PwmConfig, "phase_shift", None),
+        "mode": ("string", PwmConfig, "mode", None),
+        "sample_rate_hz": ("number", PwmConfig, "sample_rate", None),
+        "duration_s": ("number", ScenarioConfig, "duration", None),
+        "r_a_ohm": ("number", CircuitParams, "r_a", None),
+        "i_limit_a": ("number", CircuitParams, "i_limit", None),
+        "i_on_a": ("number", CircuitParams, "i_on", None),
+    },
+    "sma": {
+        "diameter_m": ("number", WireProperties, "diameter", None),
+        "active_length_m": ("number", WireProperties, "active_length", None),
+        "parallel_strands": ("integer", WireProperties, "parallel_strands", None),
+        "density_kg_m3": ("number", WireProperties, "density", None),
+        "specific_heat_j_kg_k": ("number", WireProperties, "specific_heat", None),
+        "convection_w_m2_k": ("number", WireProperties, "h", None),
+        "m_f_k": ("number", WireProperties, "m_f", None),
+        "m_s_k": ("number", WireProperties, "m_s", None),
+        "a_s_k": ("number", WireProperties, "a_s", None),
+        "a_f_k": ("number", WireProperties, "a_f", None),
+        "stress_coeff_m_pa_k": ("number", WireProperties, "c_m", None),
+        "stress_coeff_a_pa_k": ("number", WireProperties, "c_a", None),
+        "modulus_austenite_pa": ("number", WireProperties, "e_a", None),
+        "modulus_martensite_pa": ("number", WireProperties, "e_m", None),
+        "max_recoverable_strain": ("number", WireProperties, "eps_l", None),
+        "resistivity_ohm_m": ("number", WireProperties, "resistivity", None),
+        "pre_strain": ("number", WireProperties, "pre_strain", None),
+        "latent_heat_j_kg": ("number", WireProperties, "latent_heat", None),
+    },
+    "environment": {
+        "ambient_k": ("number", Environment, "t_amb", None),
+        "convection_multiplier": ("number", Environment, "convection_multiplier", None),
+    },
+    "geometry": {
+        "length_m": ("number", ActuatorGeometry, "length", None),
+        "wire_angle_deg": ("number", ActuatorGeometry, "alpha", math.radians),
+        "moment_arm_m": ("number", ActuatorGeometry, "r_m", None),
+        "beam_stiffness_nm_rad": ("number", ActuatorGeometry, "k_beam", None),
+        "tip_gain_m_rad": ("number", ActuatorGeometry, "g_tip", None),
+        "mass_kg": ("number", ActuatorGeometry, "mass", None),
+        "volume_m3": ("number", ActuatorGeometry, "volume", None),
+        "mount_offset_m": ("number", ActuatorGeometry, "mount_offset", None),
+        "beam_radius_m": ("number", ActuatorGeometry, "beam_radius", None),
+        "anchor_standoff_m": ("number", ActuatorGeometry, "anchor_standoff", None),
+    },
+    "metrology": {
+        "fir_order": ("integer", FirSpec, "order", None),
+        "fir_cutoff_hz": ("number", FirSpec, "cutoff", None),
+        "run_s": ("number", ScenarioConfig, "run_length", None),
+        "steady_window_s": ("number", ScenarioConfig, "steady_window", None),
+        "frequencies_hz": ("number_list", ScenarioConfig, "sweep_frequencies", None),
+        "duty_cycles_pct": ("number_list", ScenarioConfig, "sweep_duty_cycles", _percents),
+    },
+    "swimmer": {
+        "body_length_m": ("number", SwimmerParams, "body_length", None),
+        "mass_kg": ("number", SwimmerParams, "mass", None),
+        "head_lateral_cda_m2": ("number", SwimmerParams, "head_lateral_cda", None),
+        "tail_lateral_cda_m2": ("number", SwimmerParams, "tail_lateral_cda", None),
+        "thrust_coeff": ("number", SwimmerParams, "thrust_coeff", None),
+        "longitudinal_cda_m2": ("number", SwimmerParams, "longitudinal_cda", None),
+        "linear_drag_n_s_m": ("number", SwimmerParams, "linear_drag", None),
+        "water_density_kg_m3": ("number", SwimmerParams, "rho", None),
+        "kinematic_viscosity_m2_s": ("number", SwimmerParams, "nu", None),
+        "duty_cycle": ("number", SwimmerParams, "duty_cycle", None),
+        "tail_gain_rad_m": ("number", SwimmerParams, "tail_gain", None),
+        "tail_lever_m": ("number", SwimmerParams, "tail_lever", None),
+        "head_lever_m": ("number", SwimmerParams, "head_lever", None),
+        "yaw_ref_speed_m_s": ("number", SwimmerParams, "yaw_ref_speed", None),
+        "drive_frequency_hz": ("number", ScenarioConfig, "swim_drive_frequency", None),
+        "water_convection_multiplier": ("number", ScenarioConfig,
+                                        "swim_convection_multiplier", None),
+        "scan_frequencies_hz": ("number_list", ScenarioConfig, "swim_scan_frequencies", None),
+    },
+    "calibration": {
+        "free_parameters": ("string_list", CalibrationProblem, "free", None),
+        "targets": ("target_list", CalibrationProblem, "targets", _targets),
+        "budget": ("integer", CalibrationProblem, "budget", None),
+        "bounds": ("bounds_map", CalibrationProblem, "bounds", None),
+        "run_s": ("number", CalibrationProblem, "run_length", None),
+        "steady_window_s": ("number", CalibrationProblem, "steady_window", None),
+    },
+    "run": {
+        "scenario": ("string", ScenarioConfig, "scenario", None),
+        "out_dir": ("string", ScenarioConfig, "out_dir", None),
+    },
+}
+
+
+def _is_number(value):
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
+def _numbers(path, value, expected, length=None):
+    if not (isinstance(value, list) and value and all(map(_is_number, value))
+            and length in (None, len(value))):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _check_type(path, tag, value):
     if tag == "number":
-        if isinstance(value, bool) or not isinstance(value, _NUMBER):
+        if not _is_number(value):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         return float(value)
     if tag == "integer":
@@ -130,66 +181,26 @@ def _check_type(path, tag, value):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
     if tag == "number_list":
-        if not isinstance(value, list) or not value or any(
-                isinstance(v, bool) or not isinstance(v, _NUMBER) for v in value):
-            raise ConfigError(f"{path}: expected a non-empty list of numbers, got {value!r}")
-        return [float(v) for v in value]
+        return _numbers(path, value, "a non-empty list of numbers")
     if tag == "string_list":
-        if not isinstance(value, list) or not value or any(
-                not isinstance(v, str) for v in value):
+        if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
             raise ConfigError(f"{path}: expected a non-empty list of strings, got {value!r}")
-        return list(value)
+        return tuple(value)
     if tag == "target_list":
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected a non-empty list of targets, got {value!r}")
-        out = []
-        for i, item in enumerate(value):
-            if not isinstance(item, list) or len(item) != 3 or any(
-                    isinstance(v, bool) or not isinstance(v, _NUMBER) for v in item):
-                raise ConfigError(
-                    f"{path}[{i}]: expected [frequency_hz, dc_pct, amado_mm], got {item!r}")
-            out.append([float(v) for v in item])
-        return out
+        return tuple(_numbers(f"{path}[{i}]", item, "[frequency_hz, dc_pct, amado_mm]", 3)
+                     for i, item in enumerate(value))
     if tag == "bounds_map":
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected a mapping of parameter -> [lo, hi]")
-        out = {}
-        for name, pair in value.items():
+        for name in value:
             if name not in FREE_PARAMETERS:
                 raise ConfigError(
                     f"{path}.{name}: unknown parameter; choose from {sorted(FREE_PARAMETERS)}")
-            if not isinstance(pair, list) or len(pair) != 2 or any(
-                    isinstance(v, bool) or not isinstance(v, _NUMBER) for v in pair):
-                raise ConfigError(f"{path}.{name}: expected [lo, hi], got {pair!r}")
-            out[name] = (float(pair[0]), float(pair[1]))
-        return out
+        return {name: _numbers(f"{path}.{name}", pair, "[lo, hi]", 2)
+                for name, pair in value.items()}
     raise AssertionError(f"unhandled schema tag {tag}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated configuration for every subcommand."""
-
-    pwm: PwmConfig
-    circuit: CircuitParams
-    duration: float
-    props: WireProperties
-    env: Environment
-    geom: ActuatorGeometry
-    fir_order: int
-    fir_cutoff: float
-    run_length: float
-    steady_window: float
-    sweep_frequencies: tuple
-    sweep_duty_cycles: tuple     # fractions
-    swimmer: SwimmerParams
-    swim_drive_frequency: float
-    swim_convection_multiplier: float
-    swim_scan_frequencies: tuple
-    calibration: CalibrationProblem
-    scenario: str
-    out_dir: str
-    warnings: tuple = field(default_factory=tuple)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -203,109 +214,50 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"top level must be a mapping of sections, got {type(raw).__name__}")
 
-    schema = _schema()
-    values = {section: {key: default for key, (_, default) in keys.items()}
-              for section, keys in schema.items()}
+    fields = {}   # owning dataclass -> field -> value given in the file
     for section, content in raw.items():
-        if section not in schema:
+        if section not in _KEYS:
             raise ConfigError(f"{section}: unknown section")
         if content is None:
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"{section}: expected a mapping of keys")
         for key, value in content.items():
-            if key not in schema[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            tag = schema[section][key][0]
-            values[section][key] = _check_type(f"{section}.{key}", tag, value)
+            tag, owner, name, convert = _KEYS[section][key]
+            value = _check_type(f"{section}.{key}", tag, value)
+            fields.setdefault(owner, {})[name] = convert(value) if convert else value
 
-    warnings = []
-    d = values["drive"]
-    s = values["sma"]
-    e = values["environment"]
-    g = values["geometry"]
-    m = values["metrology"]
-    w = values["swimmer"]
-    c = values["calibration"]
-    r = values["run"]
-
-    def build(section, factory, **kwargs):
+    def build(section, owner, **derived):
         try:
-            return factory(**kwargs)
+            return owner(**fields.get(owner, {}), **derived)
         except ParameterError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
 
-    pwm = build("drive", PwmConfig,
-                frequency=d["frequency_hz"], duty_cycle=d["duty_cycle_pct"] / 100.0,
-                on_height=d["on_height_v"], phase_shift=d["phase_shift"],
-                mode=d["mode"], sample_rate=d["sample_rate_hz"])
-    circuit = build("drive", CircuitParams,
-                    r_a=d["r_a_ohm"], i_limit=d["i_limit_a"], i_on=d["i_on_a"])
-    if d["duration_s"] <= 0:
-        raise ConfigError(f"drive.duration_s: must be > 0, got {d['duration_s']}")
+    pwm = build("drive", PwmConfig)
+    circuit = build("drive", CircuitParams)
+    props = build("sma", WireProperties)
+    env = build("environment", Environment)
+    geom = build("geometry", ActuatorGeometry)
+    fir = build("metrology", FirSpec, fs=pwm.sample_rate)
+    swimmer = build("swimmer", SwimmerParams)
+    calibration = build("calibration", CalibrationProblem)
 
-    props = build("sma", WireProperties,
-                  diameter=s["diameter_m"], active_length=s["active_length_m"],
-                  parallel_strands=s["parallel_strands"], density=s["density_kg_m3"],
-                  specific_heat=s["specific_heat_j_kg_k"], h=s["convection_w_m2_k"],
-                  m_f=s["m_f_k"], m_s=s["m_s_k"], a_s=s["a_s_k"], a_f=s["a_f_k"],
-                  c_m=s["stress_coeff_m_pa_k"], c_a=s["stress_coeff_a_pa_k"],
-                  e_a=s["modulus_austenite_pa"], e_m=s["modulus_martensite_pa"],
-                  eps_l=s["max_recoverable_strain"], resistivity=s["resistivity_ohm_m"],
-                  pre_strain=s["pre_strain"], latent_heat=s["latent_heat_j_kg"])
-    env = build("environment", Environment,
-                t_amb=e["ambient_k"], convection_multiplier=e["convection_multiplier"])
-    geom = build("geometry", ActuatorGeometry,
-                 length=g["length_m"], alpha=math.radians(g["wire_angle_deg"]),
-                 r_m=g["moment_arm_m"], k_beam=g["beam_stiffness_nm_rad"],
-                 g_tip=g["tip_gain_m_rad"], mass=g["mass_kg"], volume=g["volume_m3"],
-                 mount_offset=g["mount_offset_m"], beam_radius=g["beam_radius_m"],
-                 anchor_standoff=g["anchor_standoff_m"])
-
-    if m["steady_window_s"] > m["run_s"]:
-        raise ConfigError("metrology.steady_window_s: exceeds run_s")
-    for key in ("fir_cutoff_hz",):
-        if not 0.0 < m[key] < d["sample_rate_hz"] / 2.0:
-            raise ConfigError(f"metrology.{key}: must be in (0, sample_rate/2)")
-    if m["fir_order"] <= 0 or m["fir_order"] % 2 != 0:
-        raise ConfigError(f"metrology.fir_order: must be a positive even integer")
-
-    swimmer = build("swimmer", SwimmerParams,
-                    body_length=w["body_length_m"], mass=w["mass_kg"],
-                    head_lateral_cda=w["head_lateral_cda_m2"],
-                    tail_lateral_cda=w["tail_lateral_cda_m2"],
-                    thrust_coeff=w["thrust_coeff"],
-                    longitudinal_cda=w["longitudinal_cda_m2"],
-                    linear_drag=w["linear_drag_n_s_m"], rho=w["water_density_kg_m3"],
-                    nu=w["kinematic_viscosity_m2_s"], duty_cycle=w["duty_cycle"],
-                    tail_gain=w["tail_gain_rad_m"], tail_lever=w["tail_lever_m"],
-                    head_lever=w["head_lever_m"], yaw_ref_speed=w["yaw_ref_speed_m_s"])
-    if w["water_convection_multiplier"] < 1.0:
-        raise ConfigError("swimmer.water_convection_multiplier: must be >= 1")
-
-    try:
-        calibration = CalibrationProblem(
-            free=tuple(c["free_parameters"]),
-            targets=tuple((t[0], t[1] / 100.0, t[2]) for t in c["targets"]),
-            bounds=dict(c["bounds"]), budget=c["budget"],
-            run_length=c["run_s"], steady_window=c["steady_window_s"])
-    except ParameterError as exc:
-        raise ConfigError(f"calibration: {exc}") from exc
-
+    warnings = []
     # characterization above 10% duty cycle in dry air risks a stuck actuation state
     if pwm.duty_cycle > 0.10 and env.convection_multiplier == 1.0:
         warnings.append(
-            f"drive.duty_cycle_pct = {d['duty_cycle_pct']:g} exceeds 10% in dry air; "
+            f"drive.duty_cycle_pct = {pwm.duty_cycle * 100.0:g} exceeds 10% in dry air; "
             "the physical actuator can get stuck in one actuation state")
 
-    return ScenarioConfig(
-        pwm=pwm, circuit=circuit, duration=d["duration_s"], props=props, env=env,
-        geom=geom, fir_order=m["fir_order"], fir_cutoff=m["fir_cutoff_hz"],
-        run_length=m["run_s"], steady_window=m["steady_window_s"],
-        sweep_frequencies=tuple(m["frequencies_hz"]),
-        sweep_duty_cycles=tuple(dc / 100.0 for dc in m["duty_cycles_pct"]),
-        swimmer=swimmer, swim_drive_frequency=w["drive_frequency_hz"],
-        swim_convection_multiplier=w["water_convection_multiplier"],
-        swim_scan_frequencies=tuple(w["scan_frequencies_hz"]),
-        calibration=calibration, scenario=r["scenario"], out_dir=r["out_dir"],
-        warnings=tuple(warnings))
+    cfg = ScenarioConfig(pwm=pwm, circuit=circuit, props=props, env=env, geom=geom,
+                         fir=fir, swimmer=swimmer, calibration=calibration,
+                         warnings=tuple(warnings), **fields.get(ScenarioConfig, {}))
+    if cfg.duration <= 0:
+        raise ConfigError(f"drive.duration_s: must be > 0, got {cfg.duration}")
+    if cfg.steady_window > cfg.run_length:
+        raise ConfigError("metrology.steady_window_s: exceeds run_s")
+    if cfg.swim_convection_multiplier < 1.0:
+        raise ConfigError("swimmer.water_convection_multiplier: must be >= 1")
+    return cfg

@@ -13,7 +13,6 @@ Instantaneous power is p_a = (i_t^2 + i_b^2) * r_a, both sub-circuits
 having the same resistance by design.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +81,8 @@ class CircuitParams:
 
 
 @dataclass(frozen=True)
-class DriveSample:
-    t: float    # s
-    v_t: float  # V, top channel (actuator side)
-    v_b: float  # V, bottom channel
-    i_t: float  # A
-    i_b: float  # A
-
-
-@dataclass(frozen=True)
-class DriveTrace(Sequence):
-    """Sampled two-channel excitation; indexable as DriveSample records."""
+class DriveTrace:
+    """Sampled two-channel excitation."""
 
     t: np.ndarray
     v_t: np.ndarray
@@ -100,16 +90,6 @@ class DriveTrace(Sequence):
     i_t: np.ndarray
     i_b: np.ndarray
     config: PwmConfig
-    params: CircuitParams
-
-    def __len__(self):
-        return self.t.size
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self[i] for i in range(*idx.indices(len(self)))]
-        return DriveSample(float(self.t[idx]), float(self.v_t[idx]), float(self.v_b[idx]),
-                           float(self.i_t[idx]), float(self.i_b[idx]))
 
 
 @dataclass(frozen=True)
@@ -173,14 +153,7 @@ def make_pwm_pair(cfg: PwmConfig, params: CircuitParams, duration: float) -> Dri
     v_b = np.where(on_b, v_on, 0.0)
     i_t = v_t / params.r_a
     i_b = v_b / params.r_a
-    return DriveTrace(t=t, v_t=v_t, v_b=v_b, i_t=i_t, i_b=i_b, config=cfg, params=params)
-
-
-def wire_current(v: float, r: float) -> float:
-    """Ohm's law, v/r."""
-    if r <= 0:
-        raise ParameterError(f"resistance must be > 0, got {r}")
-    return v / r
+    return DriveTrace(t=t, v_t=v_t, v_b=v_b, i_t=i_t, i_b=i_b, config=cfg)
 
 
 def instantaneous_power(i_t, i_b, params: CircuitParams):
@@ -194,7 +167,7 @@ def average_power(trace: DriveTrace, params: CircuitParams) -> PowerTrace:
     The trace must span an integer number of PWM periods so the mean is
     well defined; for ideal PWM it equals (DC_t + DC_b) * i_on^2 * r_a.
     """
-    periods = len(trace) * trace.config.frequency / trace.config.sample_rate
+    periods = trace.t.size * trace.config.frequency / trace.config.sample_rate
     if abs(periods - round(periods)) > 1e-9 or round(periods) < 1:
         raise WindowError(
             f"trace spans {periods:.6f} periods; an integer number is required")

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import njit
-from .drive import DriveSample, PwmConfig, CircuitParams, make_pwm_pair
+from .drive import PwmConfig, CircuitParams, make_pwm_pair
 from .errors import BracketError, ClearanceError, NumericError, ParameterError, SolverError
-from .sma import (Environment, WireProperties, WireState, _phase_slope,
-                  _phase_step, _tension_from_kinematics, _thermal_rk4,
-                  relaxed_state, wire_strain)
+from .sma import (Environment, WireProperties, WireState, _sample_arrays, _scalar_state,
+                  _tension_from_kinematics, _wire_constants, _wire_state, _wire_step,
+                  relaxed_state)
 
 RESIDUAL_TOL = 1e-9      # N m
 MAX_SOLVER_ITERATIONS = 200
@@ -71,11 +71,6 @@ class ActuatorGeometry:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.alpha < math.pi / 2:
             raise ParameterError(f"alpha must be in [0, pi/2), got {self.alpha}")
-
-    @property
-    def wire_offset_mid(self):
-        """Lateral offset of the wire chord at mid-span, m."""
-        return (self.mount_offset + self.length / 2.0) * math.tan(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -162,14 +157,17 @@ def _equilibrium(xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam,
     return theta, s_top, s_bot, resid, max_iter, _STATUS_NO_CONVERGENCE
 
 
+def _balance_constants(geom: ActuatorGeometry, props: WireProperties):
+    """The torque-balance constants _equilibrium takes after the two xi."""
+    return (props.eps_l + props.pre_strain, geom.r_m / props.active_length,
+            geom.r_m * props.cross_section, geom.k_beam, props.e_a, props.e_m, props.eps_l)
+
+
 def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
                       props: WireProperties) -> EquilibriumResult:
     """Beam rotation, tip displacement and wire stresses in torque balance."""
-    gamma = geom.r_m / props.active_length
-    eps_assembly = props.eps_l + props.pre_strain
     theta, s_t, s_b, resid, iters, status = _equilibrium(
-        top.xi, bottom.xi, eps_assembly, gamma, geom.r_m * props.cross_section,
-        geom.k_beam, props.e_a, props.e_m, props.eps_l,
+        top.xi, bottom.xi, *_balance_constants(geom, props),
         RESIDUAL_TOL, MAX_SOLVER_ITERATIONS)
     if status == _STATUS_NO_BRACKET:
         raise BracketError("torque residual does not change sign over the bracket")
@@ -185,17 +183,11 @@ def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
 def relaxed_actuator(props: WireProperties, env: Environment,
                      geom: ActuatorGeometry, mode: str = "bimorph") -> ActuatorState:
     """Both wire groups martensitic at ambient, beam in torque balance."""
-    top = relaxed_state(props, env)
-    bottom = relaxed_state(props, env)
-    eq = solve_equilibrium(top, bottom, geom, props)
-    top = WireState(temperature=top.temperature, xi=top.xi, sigma=eq.sigma_top,
-                    strain=wire_strain(top.xi, eq.sigma_top, props),
-                    anchor_xi=top.anchor_xi, anchor_t=top.anchor_t,
-                    branch=top.branch, t_prev=top.t_prev)
-    bottom = WireState(temperature=bottom.temperature, xi=bottom.xi, sigma=eq.sigma_bottom,
-                       strain=wire_strain(bottom.xi, eq.sigma_bottom, props),
-                       anchor_xi=bottom.anchor_xi, anchor_t=bottom.anchor_t,
-                       branch=bottom.branch, t_prev=bottom.t_prev)
+    wire = relaxed_state(props, env)
+    eq = solve_equilibrium(wire, wire, geom, props)
+    top, bottom = (_wire_state(wire.temperature, wire.xi, wire.anchor_xi, wire.anchor_t,
+                               wire.branch, sigma, props)
+                   for sigma in (eq.sigma_top, eq.sigma_bottom))
     return ActuatorState(top=top, bottom=bottom, theta=eq.theta, delta=eq.delta, mode=mode)
 
 
@@ -262,9 +254,8 @@ def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
 
 @njit
 def _trace_loop(i_t, i_b, dt,
-                temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t,
-                temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b,
-                sigma_t, sigma_b,
+                temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t, sigma_t,
+                temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b, sigma_b,
                 resistance, h_area, heat_cap, latent_cap, t_amb,
                 m_f, m_s, a_s, a_f, c_m, c_a,
                 eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l, g_tip,
@@ -275,10 +266,13 @@ def _trace_loop(i_t, i_b, dt,
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
     is applied.  Wire stresses seen by the kinetics lag one step (they
     come from the previous equilibrium).  Returns (status, bad_index,
-    max_residual, final scalar state...).
+    max_residual, theta, then each wire's temperature, xi, anchor_xi,
+    anchor_t, branch and sigma).
     """
     theta = 0.0
     max_resid = 0.0
+    status = _STATUS_OK
+    bad_index = -1
     for n in range(i_t.size):
         out_delta[n] = g_tip * theta
         out_theta[n] = theta
@@ -289,110 +283,52 @@ def _trace_loop(i_t, i_b, dt,
         out_sig_t[n] = sigma_t
         out_sig_b[n] = sigma_b
 
-        cap_t = heat_cap
-        cap_b = heat_cap
-        if latent_cap > 0.0:
-            cap_t = heat_cap + latent_cap * _phase_slope(
-                xi_t, temp_t, sigma_t, anc_xi_t, anc_t_t, br_t,
-                m_f, m_s, a_s, a_f, c_m, c_a)
-            cap_b = heat_cap + latent_cap * _phase_slope(
-                xi_b, temp_b, sigma_b, anc_xi_b, anc_t_b, br_b,
-                m_f, m_s, a_s, a_f, c_m, c_a)
-        new_temp_t = _thermal_rk4(temp_t, i_t[n], resistance, h_area, cap_t, t_amb, dt)
-        new_temp_b = _thermal_rk4(temp_b, i_b[n], resistance, h_area, cap_b, t_amb, dt)
-        if not (math.isfinite(new_temp_t) and math.isfinite(new_temp_b)):
-            return (_STATUS_NONFINITE, n, max_resid,
-                    temp_t, xi_t, anc_xi_t, anc_t_t, br_t,
-                    temp_b, xi_b, anc_xi_b, anc_t_b, br_b,
-                    sigma_t, sigma_b, theta)
-
-        xi_t, anc_xi_t, anc_t_t, br_t = _phase_step(
-            xi_t, new_temp_t, prev_t, sigma_t, anc_xi_t, anc_t_t, br_t,
+        temp_t, xi_t, anc_xi_t, anc_t_t, br_t = _wire_step(
+            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t, i_t[n], sigma_t,
+            dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
-        xi_b, anc_xi_b, anc_t_b, br_b = _phase_step(
-            xi_b, new_temp_b, prev_b, sigma_b, anc_xi_b, anc_t_b, br_b,
+        temp_b, xi_b, anc_xi_b, anc_t_b, br_b = _wire_step(
+            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b, i_b[n], sigma_b,
+            dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
-        prev_t = new_temp_t
-        prev_b = new_temp_b
-        temp_t = new_temp_t
-        temp_b = new_temp_b
+        if not (math.isfinite(temp_t) and math.isfinite(temp_b)):
+            status = _STATUS_NONFINITE
+            bad_index = n
+            break
+        prev_t = temp_t
+        prev_b = temp_b
 
         theta, sigma_t, sigma_b, resid, iters, status = _equilibrium(
             xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam,
             e_a, e_m, eps_l, RESIDUAL_TOL, MAX_SOLVER_ITERATIONS)
         if status != _STATUS_OK:
-            return (status, n, max_resid,
-                    temp_t, xi_t, anc_xi_t, anc_t_t, br_t,
-                    temp_b, xi_b, anc_xi_b, anc_t_b, br_b,
-                    sigma_t, sigma_b, theta)
+            bad_index = n
+            break
         if abs(resid) > max_resid:
             max_resid = abs(resid)
-    return (_STATUS_OK, -1, max_resid,
-            temp_t, xi_t, anc_xi_t, anc_t_t, br_t,
-            temp_b, xi_b, anc_xi_b, anc_t_b, br_b,
-            sigma_t, sigma_b, theta)
-
-
-def step_actuator(state: ActuatorState, drive: DriveSample, props: WireProperties,
-                  env: Environment, geom: ActuatorGeometry, dt: float) -> ActuatorState:
-    """One coupled step: both wires advance under the previous equilibrium
-    stresses, then the torque balance is re-solved."""
-    from .sma import step_wire
-
-    top = step_wire(state.top, drive.i_t, state.top.sigma, props, env, dt)
-    bottom = step_wire(state.bottom, drive.i_b, state.bottom.sigma, props, env, dt)
-    eq = solve_equilibrium(top, bottom, geom, props)
-    top = WireState(temperature=top.temperature, xi=top.xi, sigma=eq.sigma_top,
-                    strain=wire_strain(top.xi, eq.sigma_top, props),
-                    anchor_xi=top.anchor_xi, anchor_t=top.anchor_t,
-                    branch=top.branch, t_prev=top.t_prev)
-    bottom = WireState(temperature=bottom.temperature, xi=bottom.xi, sigma=eq.sigma_bottom,
-                       strain=wire_strain(bottom.xi, eq.sigma_bottom, props),
-                       anchor_xi=bottom.anchor_xi, anchor_t=bottom.anchor_t,
-                       branch=bottom.branch, t_prev=bottom.t_prev)
-    return ActuatorState(top=top, bottom=bottom, theta=eq.theta, delta=eq.delta,
-                         mode=state.mode)
+    return (status, bad_index, max_resid, theta,
+            temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t,
+            temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b)
 
 
 def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
                    geom: ActuatorGeometry, dt: float,
                    initial: ActuatorState | None = None) -> DisplacementTrace:
     """Run the coupled model over per-sample current arrays."""
-    if not 0.0 < dt <= 1e-3:
-        raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
-    i_t = np.ascontiguousarray(i_t, dtype=np.float64)
-    i_b = np.ascontiguousarray(i_b, dtype=np.float64)
-    if i_t.shape != i_b.shape:
-        raise ParameterError("channel current arrays must have the same shape")
+    i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
         initial = relaxed_actuator(props, env, geom)
 
     n = i_t.size
     out = {name: np.empty(n) for name in
            ("delta", "theta", "temp_t", "temp_b", "xi_t", "xi_b", "sig_t", "sig_b")}
-    h_area = props.h * env.convection_multiplier * props.lateral_area
-    gamma = geom.r_m / props.active_length
-    eps_assembly = props.eps_l + props.pre_strain
 
-    result = _trace_loop(
-        i_t, i_b, dt,
-        initial.top.temperature, initial.top.xi, initial.top.anchor_xi,
-        initial.top.anchor_t, initial.top.branch, initial.top.t_prev,
-        initial.bottom.temperature, initial.bottom.xi, initial.bottom.anchor_xi,
-        initial.bottom.anchor_t, initial.bottom.branch, initial.bottom.t_prev,
-        initial.top.sigma, initial.bottom.sigma,
-        props.resistance, h_area, props.heat_capacity,
-        props.mass * props.latent_heat, env.t_amb,
-        props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a,
-        eps_assembly, gamma, geom.r_m * props.cross_section, geom.k_beam,
-        props.e_a, props.e_m, props.eps_l, geom.g_tip,
+    status, bad_index, max_resid, theta, *wires = _trace_loop(
+        i_t, i_b, dt, *_scalar_state(initial.top), *_scalar_state(initial.bottom),
+        *_wire_constants(props, env), *_balance_constants(geom, props), geom.g_tip,
         out["delta"], out["theta"], out["temp_t"], out["temp_b"],
         out["xi_t"], out["xi_b"], out["sig_t"], out["sig_b"])
 
-    (status, bad_index, max_resid,
-     temp_t, xi_t, anc_xi_t, anc_t_t, br_t,
-     temp_b, xi_b, anc_xi_b, anc_t_b, br_b,
-     sigma_t, sigma_b, theta) = result
     if status == _STATUS_NONFINITE:
         raise NumericError(f"state became non-finite at sample {bad_index}")
     if status == _STATUS_NO_BRACKET:
@@ -400,14 +336,9 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     if status == _STATUS_NO_CONVERGENCE:
         raise SolverError(f"equilibrium did not converge at sample {bad_index}")
 
-    top = WireState(temperature=temp_t, xi=xi_t, sigma=sigma_t,
-                    strain=wire_strain(xi_t, sigma_t, props),
-                    anchor_xi=anc_xi_t, anchor_t=anc_t_t, branch=int(br_t), t_prev=temp_t)
-    bottom = WireState(temperature=temp_b, xi=xi_b, sigma=sigma_b,
-                       strain=wire_strain(xi_b, sigma_b, props),
-                       anchor_xi=anc_xi_b, anchor_t=anc_t_b, branch=int(br_b), t_prev=temp_b)
-    final = ActuatorState(top=top, bottom=bottom, theta=theta,
-                          delta=geom.g_tip * theta, mode=initial.mode)
+    final = ActuatorState(
+        top=_wire_state(*wires[:6], props), bottom=_wire_state(*wires[6:], props),
+        theta=theta, delta=geom.g_tip * theta, mode=initial.mode)
     t = np.arange(n, dtype=np.float64) * dt
     return DisplacementTrace(
         t=t, delta=out["delta"], theta=out["theta"],
@@ -424,11 +355,6 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
     if duration < 2.0 * cfg.period:
         raise ParameterError(
             f"duration {duration} s must cover at least two periods of {cfg.frequency} Hz")
-    if cfg.sample_rate < 1000.0:
-        raise ParameterError(
-            f"sample_rate {cfg.sample_rate} Hz implies dt > 1 ms; use >= 1 kHz")
     drive = make_pwm_pair(cfg, params, duration)
-    dt = 1.0 / cfg.sample_rate
-    trace = simulate_drive(drive.i_t, drive.i_b, props, env, geom, dt,
-                           initial=relaxed_actuator(props, env, geom, mode=cfg.mode))
-    return trace
+    return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / cfg.sample_rate,
+                          initial=relaxed_actuator(props, env, geom, mode=cfg.mode))

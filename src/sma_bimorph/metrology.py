@@ -16,7 +16,7 @@ same magnitude response.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,16 +25,18 @@ from .errors import ParameterError, SimulationError, WindowError
 from .mechanics import ActuatorGeometry, run_mode_trace
 from .sma import Environment, WireProperties
 
+RUN_LENGTH = 30.0      # s, one characterization run
+STEADY_WINDOW = 15.0   # s, the final stretch of a run averaged into AMADO
+
 
 @dataclass(frozen=True)
 class FirSpec:
-    """Windowed-sinc low-pass design; order must be even for an integer
-    group delay."""
+    """Hamming-windowed sinc low-pass design; order must be even for an
+    integer group delay."""
 
     order: int = 1000      # taps minus one
     cutoff: float = 100.0  # Hz
-    fs: float = 2000.0     # Hz
-    window: str = "hamming"
+    fs: float = PwmConfig.sample_rate  # Hz, the drive's default sampling
 
     def __post_init__(self):
         if self.order <= 0 or self.order % 2 != 0:
@@ -42,8 +44,6 @@ class FirSpec:
         if not 0.0 < self.cutoff < self.fs / 2.0:
             raise ParameterError(
                 f"cutoff must satisfy 0 < cutoff < fs/2 = {self.fs / 2.0}, got {self.cutoff}")
-        if self.window != "hamming":
-            raise ParameterError(f"only the hamming window is supported, got {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,13 @@ def _period_slices(frequency, fs, t_start, t_end):
 
 
 def compute_amado(trace, frequency: float, run_length: float, steady_window: float,
-                  fs: float = 2000.0, fir: FirSpec | None = None) -> AmadoResult:
+                  fir: FirSpec = FirSpec()) -> AmadoResult:
     """Filter a displacement trace and average the per-period peak-to-peak.
 
-    trace is the raw displacement record in meters sampled at fs; the
+    trace is the raw displacement record in meters sampled at fir.fs; the
     result is reported in millimeters like the published tables.
     """
+    fs = fir.fs
     trace = np.asarray(trace, dtype=np.float64)
     if steady_window > run_length:
         raise ParameterError(
@@ -124,8 +125,6 @@ def compute_amado(trace, frequency: float, run_length: float, steady_window: flo
     if abs(trace.size - expected) > 1:
         raise ParameterError(
             f"trace has {trace.size} samples, expected {expected} for {run_length} s at {fs} Hz")
-    if fir is None:
-        fir = FirSpec(fs=fs)
     filtered = filter_zero_phase(design_fir(fir), trace)
 
     slices = _period_slices(frequency, fs, run_length - steady_window, run_length)
@@ -139,37 +138,43 @@ def compute_amado(trace, frequency: float, run_length: float, steady_window: flo
                        amado=float(mado_mm.mean()), std=float(mado_mm.std(ddof=1)))
 
 
-def _sweep_cell(frequency, duty_cycle, params, props, env, geom,
-                run_length, steady_window, fir, sample_rate):
-    cfg = PwmConfig(frequency=frequency, duty_cycle=duty_cycle, mode="bimorph",
-                    sample_rate=sample_rate)
-    trace = run_mode_trace(cfg, params, props, env, geom, run_length)
-    result = compute_amado(trace.delta, frequency, run_length, steady_window,
-                           fs=sample_rate, fir=fir)
-    return AmadoResult(frequency=frequency, duty_cycle=duty_cycle, mado=result.mado,
-                       amado=result.amado, std=result.std)
+def measure_amado(pwm: PwmConfig, frequency: float, duty_cycle: float,
+                  params: CircuitParams, props: WireProperties, env: Environment,
+                  geom: ActuatorGeometry, run_length: float, steady_window: float,
+                  fir: FirSpec | None = None) -> AmadoResult:
+    """AMADO of one bimorph drive cell: PWM drive, coupled trace, filtered MADO.
+
+    pwm is the drive template: the cell keeps its on height, phase shift
+    and sample rate and replaces frequency and duty cycle.  fir defaults
+    to the standard design at the template's sample rate.
+    """
+    cell = replace(pwm, frequency=frequency, duty_cycle=duty_cycle, mode="bimorph")
+    if fir is None:
+        fir = FirSpec(fs=cell.sample_rate)
+    trace = run_mode_trace(cell, params, props, env, geom, run_length)
+    result = compute_amado(trace.delta, frequency, run_length, steady_window, fir)
+    return replace(result, duty_cycle=duty_cycle)
 
 
 def run_sweep(frequencies, duty_cycles, params: CircuitParams, props: WireProperties,
               env: Environment, geom: ActuatorGeometry,
-              run_length: float = 30.0, steady_window: float = 15.0,
-              fir: FirSpec | None = None, sample_rate: float = 2000.0,
+              run_length: float = RUN_LENGTH, steady_window: float = STEADY_WINDOW,
+              fir: FirSpec | None = None, pwm: PwmConfig = PwmConfig(),
               threads: int = 1) -> SweepTable:
     """Simulate every (f, DC) cell and tabulate AMADO.
 
-    Cells are independent; the thread count changes wall time only, never
-    the table contents.  A failed cell is recorded under .errors with its
-    exception message rather than dropped.
+    Each cell is cut from the pwm template (see measure_amado).  Cells are
+    independent; the thread count changes wall time only, never the table
+    contents.  A failed cell is recorded under .errors with its exception
+    message rather than dropped.
     """
     cells = sorted((float(f), float(dc)) for f in frequencies for dc in duty_cycles)
-    if fir is None:
-        fir = FirSpec(fs=sample_rate)
 
     def work(cell):
         f, dc = cell
         try:
-            return cell, _sweep_cell(f, dc, params, props, env, geom,
-                                     run_length, steady_window, fir, sample_rate), None
+            return cell, measure_amado(pwm, f, dc, params, props, env, geom,
+                                       run_length, steady_window, fir), None
         except SimulationError as exc:
             return cell, None, f"{type(exc).__name__}: {exc}"
 
@@ -179,26 +184,14 @@ def run_sweep(frequencies, duty_cycles, params: CircuitParams, props: WireProper
     else:
         outcomes = [work(c) for c in cells]
 
-    by_cell = {cell: (res, err) for cell, res, err in outcomes}
+    results = [res for _, res, _ in outcomes if res is not None]
+    errors = {cell: err for cell, res, err in outcomes if res is None}
     av_max = {}
-    for f, dc in cells:
-        res, _ = by_cell[(f, dc)]
-        if res is not None:
-            av_max[f] = max(av_max.get(f, 0.0), res.amado)
-
-    rows = []
-    errors = {}
-    for cell in cells:
-        res, err = by_cell[cell]
-        if res is None:
-            errors[cell] = err
-            continue
-        peak = av_max.get(cell[0], 0.0)
-        normalized = res.amado / peak if peak > 0.0 else 0.0
-        rows.append(AmadoResult(frequency=res.frequency, duty_cycle=res.duty_cycle,
-                                mado=res.mado, amado=res.amado, std=res.std,
-                                normalized=normalized))
-    return SweepTable(rows=tuple(rows), av_max=av_max, errors=errors)
+    for res in results:
+        av_max[res.frequency] = max(av_max.get(res.frequency, 0.0), res.amado)
+    rows = tuple(replace(res, normalized=res.amado / av_max[res.frequency]
+                         if av_max[res.frequency] > 0.0 else 0.0) for res in results)
+    return SweepTable(rows=rows, av_max=av_max, errors=errors)
 
 
 def spectral_energy_below(trace, fs: float, f_limit: float,

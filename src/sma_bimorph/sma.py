@@ -29,7 +29,7 @@ finish; they are deliberately exposed for calibration.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,19 +171,6 @@ def relaxed_state(props: WireProperties, env: Environment) -> WireState:
 # scalar kernels (numba-compiled when available)
 
 @njit
-def _thermal_rk4(temp, current, resistance, h_area, heat_cap, t_amb, dt):
-    q = current * current * resistance
-    k1 = (q - h_area * (temp - t_amb)) / heat_cap
-    t2 = temp + 0.5 * dt * k1
-    k2 = (q - h_area * (t2 - t_amb)) / heat_cap
-    t3 = temp + 0.5 * dt * k2
-    k3 = (q - h_area * (t3 - t_amb)) / heat_cap
-    t4 = temp + dt * k3
-    k4 = (q - h_area * (t4 - t_amb)) / heat_cap
-    return temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
-@njit
 def _heating_shape(temp, a_s_eff, a_f_eff):
     # major heating branch from xi=1: holds 1 below A_s, half-cosine to 0 at A_f
     if temp <= a_s_eff:
@@ -287,12 +274,6 @@ def _phase_slope(xi, temp, sigma, anchor_xi, anchor_t, branch,
 
 
 @njit
-def _strain_of(xi, sigma, e_a, e_m, eps_l):
-    e_mod = e_a + xi * (e_m - e_a)
-    return sigma / e_mod + eps_l * xi
-
-
-@njit
 def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     # invert the constitutive law at fixed xi; slack wires carry nothing
     e_mod = e_a + xi * (e_m - e_a)
@@ -301,39 +282,55 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
 
 
 @njit
-def _simulate_wire(currents, sigmas, dt, temp0, xi0, anchor_xi0, anchor_t0, branch0,
-                   t_prev0, sigma0, resistance, h_area, heat_cap, latent_cap, t_amb,
+def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, sigma_held, current, sigma,
+               dt, resistance, h_area, heat_cap, latent_cap, t_amb,
+               m_f, m_s, a_s, a_f, c_m, c_a):
+    """Advance one wire group by dt: RK4 heat balance, then the phase step.
+
+    latent_cap is mass * latent_heat (J per unit xi); the transformation
+    slope at the step start augments the heat capacity.  The thermal step
+    precedes the stress assignment, so that slope sees sigma_held, the
+    stress carried into the step, while the kinetics see sigma.  Returns
+    (temperature, xi, anchor_xi, anchor_t, branch).
+    """
+    cap = heat_cap
+    if latent_cap > 0.0:
+        cap = heat_cap + latent_cap * _phase_slope(xi, temp, sigma_held, anchor_xi,
+                                                   anchor_t, branch,
+                                                   m_f, m_s, a_s, a_f, c_m, c_a)
+    q = current * current * resistance
+    k1 = (q - h_area * (temp - t_amb)) / cap
+    t2 = temp + 0.5 * dt * k1
+    k2 = (q - h_area * (t2 - t_amb)) / cap
+    t3 = temp + 0.5 * dt * k2
+    k3 = (q - h_area * (t3 - t_amb)) / cap
+    t4 = temp + dt * k3
+    k4 = (q - h_area * (t4 - t_amb)) / cap
+    new_temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    xi, anchor_xi, anchor_t, branch = _phase_step(
+        xi, new_temp, t_prev, sigma, anchor_xi, anchor_t, branch,
+        m_f, m_s, a_s, a_f, c_m, c_a)
+    return new_temp, xi, anchor_xi, anchor_t, branch
+
+
+@njit
+def _simulate_wire(currents, sigmas, dt, temp, xi, anchor_xi, anchor_t, branch,
+                   t_prev, held, resistance, h_area, heat_cap, latent_cap, t_amb,
                    m_f, m_s, a_s, a_f, c_m, c_a,
                    out_temp, out_xi):
     """Drive one wire group with per-sample current and applied stress.
 
-    latent_cap is mass * latent_heat (J per unit xi); the transformation
-    slope at the step start augments the heat capacity. Records the state
-    after each step and returns the final scalar state tuple
+    The scalar arguments temp .. held are the initial state.  Records the
+    state after each step and returns the final scalar state tuple
     (temperature, xi, anchor_xi, anchor_t, branch).
     """
-    temp = temp0
-    xi = xi0
-    anchor_xi = anchor_xi0
-    anchor_t = anchor_t0
-    branch = branch0
-    t_prev = t_prev0
-    prev_sigma = sigma0
     for n in range(currents.size):
-        cap = heat_cap
-        if latent_cap > 0.0:
-            # the thermal step precedes the stress assignment, so the latent
-            # slope sees the stress carried from the previous step
-            slope = _phase_slope(xi, temp, prev_sigma, anchor_xi, anchor_t, branch,
-                                 m_f, m_s, a_s, a_f, c_m, c_a)
-            cap = heat_cap + latent_cap * slope
-        new_temp = _thermal_rk4(temp, currents[n], resistance, h_area, cap, t_amb, dt)
-        xi, anchor_xi, anchor_t, branch = _phase_step(
-            xi, new_temp, t_prev, sigmas[n], anchor_xi, anchor_t, branch,
+        temp, xi, anchor_xi, anchor_t, branch = _wire_step(
+            temp, t_prev, xi, anchor_xi, anchor_t, branch, held, currents[n], sigmas[n],
+            dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
-        t_prev = new_temp
-        temp = new_temp
-        prev_sigma = sigmas[n]
+        t_prev = temp
+        held = sigmas[n]
         out_temp[n] = temp
         out_xi[n] = xi
     return temp, xi, anchor_xi, anchor_t, branch
@@ -342,61 +339,44 @@ def _simulate_wire(currents, sigmas, dt, temp0, xi0, anchor_xi0, anchor_t0, bran
 # ---------------------------------------------------------------------------
 # public operations on WireState values
 
-def thermal_step(state: WireState, current: float, props: WireProperties,
-                 env: Environment, dt: float) -> WireState:
-    """Advance the heat balance one RK4 step of length dt (dt <= 1 ms)."""
-    if not 0.0 < dt <= 1e-3:
-        raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
-    if not (math.isfinite(state.temperature) and math.isfinite(current)):
-        raise NumericError("non-finite thermal state")
-    h_area = props.h * env.convection_multiplier * props.lateral_area
-    cap = props.heat_capacity
-    if props.latent_heat > 0.0:
-        slope = _phase_slope(state.xi, state.temperature, state.sigma,
-                             state.anchor_xi, state.anchor_t, state.branch,
-                             props.m_f, props.m_s, props.a_s, props.a_f,
-                             props.c_m, props.c_a)
-        cap = cap + props.mass * props.latent_heat * slope
-    temp = _thermal_rk4(state.temperature, current, props.resistance,
-                        h_area, cap, env.t_amb, dt)
-    if not math.isfinite(temp):
-        raise NumericError(f"temperature became non-finite: {temp}")
-    return replace(state, temperature=temp)
-
-
-def update_phase(state: WireState, props: WireProperties) -> WireState:
-    """Advance the transformation kinetics to the state's temperature.
-
-    Direction of travel is judged against t_prev (the temperature at the
-    previous phase evaluation); a direction reversal inside a band
-    re-anchors the minor loop.
-    """
-    xi, anchor_xi, anchor_t, branch = _phase_step(
-        state.xi, state.temperature, state.t_prev, state.sigma,
-        state.anchor_xi, state.anchor_t, state.branch,
-        props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a)
-    return replace(state, xi=xi, anchor_xi=anchor_xi, anchor_t=anchor_t,
-                   branch=branch, t_prev=state.temperature)
-
-
 def wire_strain(xi: float, sigma: float, props: WireProperties) -> float:
     """Total strain, elastic part plus recoverable transformation strain."""
     if not 0.0 <= xi <= 1.0:
         raise ParameterError(f"xi must be in [0, 1], got {xi}")
     if sigma < 0.0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    return _strain_of(xi, sigma, props.e_a, props.e_m, props.eps_l)
+    return sigma / (props.e_a + xi * (props.e_m - props.e_a)) + props.eps_l * xi
 
 
-def step_wire(state: WireState, current: float, sigma_applied: float,
-              props: WireProperties, env: Environment, dt: float) -> WireState:
-    """One full wire update: thermal, stress assignment, phase, strain."""
-    if sigma_applied < 0.0:
-        raise ParameterError(f"sigma_applied must be >= 0, got {sigma_applied}")
-    s = thermal_step(state, current, props, env, dt)
-    s = replace(s, sigma=sigma_applied)
-    s = update_phase(s, props)
-    return replace(s, strain=wire_strain(s.xi, sigma_applied, props))
+def _sample_arrays(dt, a, b, names):
+    """a and b as contiguous float arrays of one shape, stepped at dt <= 1 ms."""
+    if not 0.0 < dt <= 1e-3:
+        raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ParameterError(f"{names} must have the same shape")
+    return a, b
+
+
+def _scalar_state(state: WireState):
+    """The state scalars the stepping kernels take, in their argument order."""
+    return (state.temperature, state.xi, state.anchor_xi, state.anchor_t, state.branch,
+            state.t_prev, state.sigma)
+
+
+def _wire_constants(props: WireProperties, env: Environment):
+    """The wire constants the stepping kernels take, in their argument order."""
+    return (props.resistance, props.h * env.convection_multiplier * props.lateral_area,
+            props.heat_capacity, props.mass * props.latent_heat, env.t_amb,
+            props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a)
+
+
+def _wire_state(temp, xi, anchor_xi, anchor_t, branch, sigma, props) -> WireState:
+    """WireState of the kernels' scalar state under tension sigma."""
+    return WireState(temperature=temp, xi=xi, sigma=sigma,
+                     strain=wire_strain(xi, sigma, props), anchor_xi=anchor_xi,
+                     anchor_t=anchor_t, branch=int(branch), t_prev=temp)
 
 
 def transformation_temperatures(props: WireProperties, sigma: float):
@@ -412,27 +392,18 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     currents and sigmas are same-length sample arrays (zero-order hold over
     each dt). Returns (temperature trace, xi trace, final WireState).
     """
-    if not 0.0 < dt <= 1e-3:
-        raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
-    currents = np.ascontiguousarray(currents, dtype=np.float64)
-    sigmas = np.ascontiguousarray(sigmas, dtype=np.float64)
-    if currents.shape != sigmas.shape:
-        raise ParameterError("currents and sigmas must have the same shape")
+    currents, sigmas = _sample_arrays(dt, currents, sigmas, "currents and sigmas")
+    if sigmas.size and sigmas.min() < 0.0:
+        raise ParameterError(f"sigmas must be >= 0 (wires cannot push), got {sigmas.min()}")
     if state is None:
         state = relaxed_state(props, env)
     out_temp = np.empty_like(currents)
     out_xi = np.empty_like(currents)
-    h_area = props.h * env.convection_multiplier * props.lateral_area
     temp, xi, anchor_xi, anchor_t, branch = _simulate_wire(
-        currents, sigmas, dt, state.temperature, state.xi, state.anchor_xi,
-        state.anchor_t, state.branch, state.t_prev, state.sigma,
-        props.resistance, h_area, props.heat_capacity,
-        props.mass * props.latent_heat, env.t_amb,
-        props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a,
+        currents, sigmas, dt, *_scalar_state(state), *_wire_constants(props, env),
         out_temp, out_xi)
+    if not math.isfinite(temp):
+        raise NumericError(f"temperature became non-finite: {temp}")
     final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma
-    final = WireState(temperature=temp, xi=xi, sigma=final_sigma,
-                      strain=wire_strain(xi, final_sigma, props),
-                      anchor_xi=anchor_xi, anchor_t=anchor_t,
-                      branch=branch, t_prev=temp)
-    return out_temp, out_xi, final
+    return out_temp, out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch,
+                                         final_sigma, props)

@@ -153,6 +153,16 @@ class TestCliProcess:
             capture_output=True, text=True)
         assert result.returncode == 2
 
+    def test_calibration_window_longer_than_run_exit_two(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("calibration:\n  run_s: 4\n  steady_window_s: 5\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "sma_bimorph.cli", "calibrate",
+             "--config", str(bad), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "calibration" in result.stderr
+
     def test_warning_emitted_on_stderr(self, tmp_path):
         risky = tmp_path / "risky.yaml"
         risky.write_text("drive:\n  duty_cycle_pct: 11\n  duration_s: 2\n")
@@ -184,6 +194,33 @@ class TestRemainingCommands:
         text = path.read_text()
         assert "fitted parameters:" in text and "g_tip" in text
         assert "residual" in text
+
+
+class TestConfigReach:
+    """Every drive.* and metrology.fir_* key reaches every command."""
+
+    ONE_CELL = ("metrology:\n  frequencies_hz: [1]\n  duty_cycles_pct: [10]\n"
+                "  run_s: 4\n  steady_window_s: 3\n")
+    SHORT_FIT = ("calibration:\n  free_parameters: [g_tip]\n  budget: 3\n"
+                 "  run_s: 4\n  steady_window_s: 3\n")
+
+    def _artifact(self, text, command, out_dir):
+        return run_scenario(parse_config(text), command, out_dir=out_dir)[0].read_bytes()
+
+    def test_sweep_sees_phase_shift(self, tmp_path):
+        shifted = self._artifact(self.ONE_CELL + "drive:\n  phase_shift: 0.3\n",
+                                 "sweep", tmp_path / "a")
+        default = self._artifact(self.ONE_CELL + "drive:\n  phase_shift: 0.5\n",
+                                 "sweep", tmp_path / "b")
+        assert shifted != default
+
+    @pytest.mark.parametrize("override", ["drive:\n  sample_rate_hz: 4000\n",
+                                          "metrology:\n  fir_cutoff_hz: 50\n"],
+                             ids=["sample_rate", "fir_cutoff"])
+    def test_calibrate_sees_protocol_keys(self, tmp_path, override):
+        default = self._artifact(self.SHORT_FIT, "calibrate", tmp_path / "a")
+        changed = self._artifact(self.SHORT_FIT + override, "calibrate", tmp_path / "b")
+        assert changed != default
 
 
 def test_shipped_example_config_matches_defaults():

@@ -4,26 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sma_bimorph import (CircuitParams, PwmConfig, average_power,
-                         instantaneous_power, make_pwm_pair, wire_current)
+                         instantaneous_power, make_pwm_pair)
 from sma_bimorph.errors import DriveError, ParameterError, WindowError
+
+
+def on_current(v_on, r_a):
+    """Channel current while on, for a circuit with on voltage v_on across r_a."""
+    circuit = CircuitParams(r_a=r_a, i_on=v_on / r_a, i_limit=max(v_on / r_a, 0.25))
+    trace = make_pwm_pair(PwmConfig(frequency=1.0, duty_cycle=0.10), circuit, 1.0)
+    assert trace.v_t.max() == pytest.approx(v_on, rel=1e-12)
+    return trace.i_t.max()
 
 
 class TestWireCurrent:
     def test_on_state_current(self):
         # 1.1125 V across 4.45 ohm is the 250 mA on-state
-        assert wire_current(1.1125, 4.45) == pytest.approx(0.250, rel=1e-12)
+        assert on_current(1.1125, 4.45) == pytest.approx(0.250, rel=1e-12)
 
-    def test_zero_voltage(self):
-        assert wire_current(0.0, 4.45) == 0.0
+    def test_zero_voltage(self, circuit):
+        trace = make_pwm_pair(PwmConfig(frequency=1.0, duty_cycle=0.10), circuit, 1.0)
+        assert (trace.i_t[trace.v_t == 0.0] == 0.0).all()
 
     def test_hand_evaluated_ohms_law(self):
-        assert wire_current(2.225, 4.45) == pytest.approx(0.5, rel=1e-12)
+        assert on_current(2.225, 4.45) == pytest.approx(0.5, rel=1e-12)
 
     def test_invalid_resistance(self):
         with pytest.raises(ParameterError):
-            wire_current(1.0, 0.0)
+            CircuitParams(r_a=0.0)
         with pytest.raises(ParameterError):
-            wire_current(1.0, -2.0)
+            CircuitParams(r_a=-2.0)
 
 
 class TestMakePwmPair:
@@ -80,9 +89,8 @@ class TestMakePwmPair:
     def test_sample_access(self, circuit):
         cfg = PwmConfig(frequency=1.0, duty_cycle=0.10)
         trace = make_pwm_pair(cfg, circuit, 1.0)
-        s = trace[0]
-        assert s.t == 0.0 and s.i_t == pytest.approx(0.25)
-        assert len(trace) == 2000
+        assert trace.t[0] == 0.0 and trace.i_t[0] == pytest.approx(0.25)
+        assert trace.t.size == 2000
 
     @given(dc=st.floats(0.0, 0.5), f=st.sampled_from([1.0, 2.0, 5.0, 10.0, 20.0]))
     @settings(max_examples=40, deadline=None)

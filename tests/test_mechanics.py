@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sma_bimorph import (PwmConfig, clearance_check, make_pwm_pair,
-                         relaxed_actuator, run_mode_trace, solve_equilibrium,
-                         step_actuator, tip_envelope)
+                         relaxed_actuator, run_mode_trace, simulate_wire,
+                         solve_equilibrium, tip_envelope)
 from sma_bimorph.errors import ClearanceError, ParameterError
 from sma_bimorph.mechanics import simulate_drive
 from sma_bimorph.metrology import spectral_energy_below
@@ -111,17 +111,24 @@ class TestStepActuator:
         trace = run_mode_trace(cfg, circuit, props, env, geom, 10.0)
         assert np.abs(trace.delta).max() < 1e-6
 
-    def test_python_and_compiled_paths_agree(self, props, env, geom, circuit):
-        cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)
-        drive = make_pwm_pair(cfg, circuit, 0.05)
-        compiled = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0)
-        state = relaxed_actuator(props, env, geom)
-        for n in range(len(drive)):
-            assert compiled.delta[n] == state.delta
-            assert compiled.temp_top[n] == state.top.temperature
-            assert compiled.xi_bottom[n] == state.bottom.xi
-            assert compiled.sigma_top[n] == state.top.sigma
-            state = step_actuator(state, drive[n], props, env, geom, 1 / 2000.0)
+    @pytest.mark.parametrize("frequency", [1.0, 5.0, 10.0])
+    def test_wire_replay_reproduces_coupled_trace(self, props, env, geom, circuit,
+                                                  frequency):
+        # each wire of the coupled loop, replayed alone under the stresses the
+        # trace recorded, follows the same path bit for bit
+        cfg = PwmConfig(frequency=frequency, duty_cycle=0.10)
+        drive = make_pwm_pair(cfg, circuit, 4.0)
+        initial = relaxed_actuator(props, env, geom)
+        trace = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
+                               initial=initial)
+        for current, sigma, temp, xi, state in (
+                (drive.i_t, trace.sigma_top, trace.temp_top, trace.xi_top, initial.top),
+                (drive.i_b, trace.sigma_bottom, trace.temp_bottom, trace.xi_bottom,
+                 initial.bottom)):
+            replay_temp, replay_xi, _ = simulate_wire(current, sigma, props, env,
+                                                      1 / 2000.0, state=state)
+            assert np.array_equal(replay_temp[:-1], temp[1:])
+            assert np.array_equal(replay_xi[:-1], xi[1:])
 
     def test_mirror_symmetry_bitwise(self, props, env, geom, circuit):
         cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)

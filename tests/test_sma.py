@@ -7,10 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sma_bimorph import (Environment, WireProperties, WireState, relaxed_state,
-                         simulate_wire, step_wire, thermal_step,
-                         transformation_temperatures, update_phase, wire_strain)
+                         simulate_wire, transformation_temperatures, wire_strain)
 from sma_bimorph.errors import NumericError, ParameterError
-from sma_bimorph.sma import BRANCH_COOLING, BRANCH_HEATING
+from sma_bimorph.sma import BRANCH_COOLING, BRANCH_HEATING, _phase_step
+
+
+def hold_current(state, current, n, props, env, dt):
+    """Temperature after n steps at constant current and zero stress."""
+    temps, _, _ = simulate_wire(np.full(n, current), np.zeros(n), props, env, dt,
+                                state=state)
+    return temps[-1]
+
+
+def update_phase(state, props):
+    """The phase kernel applied at the state's temperature; returns the new state."""
+    xi, anchor_xi, anchor_t, branch = _phase_step(
+        state.xi, state.temperature, state.t_prev, state.sigma,
+        state.anchor_xi, state.anchor_t, state.branch,
+        props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a)
+    return replace(state, xi=xi, anchor_xi=anchor_xi, anchor_t=anchor_t,
+                   branch=branch, t_prev=state.temperature)
 
 
 def heating_envelope(temp, sigma, props):
@@ -36,8 +52,7 @@ def cooling_envelope(temp, sigma, props):
 class TestThermal:
     def test_equilibrium_is_fixed_point(self, props, env):
         state = relaxed_state(props, env)
-        out = thermal_step(state, 0.0, props, env, 5e-4)
-        assert out.temperature == state.temperature
+        assert hold_current(state, 0.0, 1, props, env, 5e-4) == state.temperature
 
     def test_cooling_matches_exponential_oracle(self, props, env):
         # closed form: T_amb + dT0 * exp(-t/tau), tau = m c_p / (h A_lat)
@@ -45,10 +60,9 @@ class TestThermal:
         dt = 5e-4
         state = replace(relaxed_state(props, env), temperature=env.t_amb + 100.0)
         n = int(1.0 / dt)
-        for k in range(n):
-            state = thermal_step(state, 0.0, props, env, dt)
+        temp = hold_current(state, 0.0, n, props, env, dt)
         expected = env.t_amb + 100.0 * math.exp(-n * dt / tau)
-        assert abs(state.temperature - expected) / 100.0 < 1e-4
+        assert abs(temp - expected) / 100.0 < 1e-4
 
     def test_heating_matches_steady_state_oracle(self, props, env):
         # closed form: T_amb + (i^2 R / h A_lat) * (1 - exp(-t/tau))
@@ -59,22 +73,21 @@ class TestThermal:
         dt = 5e-4
         state = relaxed_state(props, env)
         n = int(2.0 / dt)
-        for k in range(n):
-            state = thermal_step(state, i, props, env, dt)
+        temp = hold_current(state, i, n, props, env, dt)
         expected = env.t_amb + dt_ss * (1.0 - math.exp(-n * dt / tau))
-        assert abs(state.temperature - expected) / dt_ss < 1e-4
+        assert abs(temp - expected) / dt_ss < 1e-4
 
     def test_step_size_guard(self, props, env):
         state = relaxed_state(props, env)
         with pytest.raises(ParameterError):
-            thermal_step(state, 0.0, props, env, 2e-3)
+            hold_current(state, 0.0, 1, props, env, 2e-3)
         with pytest.raises(ParameterError):
-            thermal_step(state, 0.0, props, env, 0.0)
+            hold_current(state, 0.0, 1, props, env, 0.0)
 
     def test_non_finite_rejected(self, props, env):
         state = replace(relaxed_state(props, env), temperature=math.nan)
         with pytest.raises(NumericError):
-            thermal_step(state, 0.0, props, env, 5e-4)
+            hold_current(state, 0.0, 1, props, env, 5e-4)
 
     def test_latent_heat_slows_transformation_traverse(self, env):
         base = WireProperties()
@@ -83,9 +96,9 @@ class TestThermal:
                           temperature=350.0, branch=BRANCH_HEATING,
                           anchor_xi=1.0, anchor_t=300.0, xi=0.6)
         state_l = replace(state_b)
-        out_b = thermal_step(state_b, 0.25, base, env, 5e-4)
-        out_l = thermal_step(state_l, 0.25, latent, env, 5e-4)
-        assert out_l.temperature < out_b.temperature
+        out_b = hold_current(state_b, 0.25, 1, base, env, 5e-4)
+        out_l = hold_current(state_l, 0.25, 1, latent, env, 5e-4)
+        assert out_l < out_b
 
 
 class TestPhaseKinetics:
@@ -157,7 +170,7 @@ class TestWireStrain:
 class TestStepWire:
     def test_relaxed_fixed_point(self, props, env):
         state = relaxed_state(props, env)
-        out = step_wire(state, 0.0, 0.0, props, env, 5e-4)
+        _, _, out = simulate_wire(np.zeros(1), np.zeros(1), props, env, 5e-4, state=state)
         assert out.temperature == state.temperature
         assert out.xi == state.xi == 1.0
         assert out.strain == state.strain
@@ -261,8 +274,9 @@ class TestInvariantSuite:
 
 
 class TestVectorScalarConsistency:
-    def test_simulate_wire_matches_step_wire(self, env):
-        # same kernels behind both paths, including the latent-heat term
+    def test_simulate_wire_matches_chained_single_steps(self, env):
+        # the final state carries everything the next step needs, including
+        # the held stress the latent-heat term reads
         props = WireProperties(latent_heat=15e3)
         rng = np.random.default_rng(3)
         n = 200
@@ -271,12 +285,11 @@ class TestVectorScalarConsistency:
         temps, xi, final = simulate_wire(currents, sigmas, props, env, 5e-4)
         state = relaxed_state(props, env)
         for k in range(n):
-            state = step_wire(state, float(currents[k]), float(sigmas[k]),
-                              props, env, 5e-4)
+            _, _, state = simulate_wire(currents[k:k + 1], sigmas[k:k + 1],
+                                        props, env, 5e-4, state=state)
             assert state.temperature == temps[k]
             assert state.xi == xi[k]
-        assert final.temperature == state.temperature
-        assert final.xi == state.xi
+        assert final == state
 
 
 class TestConstitutiveRoundTrip:
@@ -298,6 +311,6 @@ class TestConstitutiveRoundTrip:
                                         props.eps_l) == 0.0
 
 
-def test_step_wire_rejects_negative_stress(props, env):
+def test_simulate_wire_rejects_negative_stress(props, env):
     with pytest.raises(ParameterError):
-        step_wire(relaxed_state(props, env), 0.0, -1.0, props, env, 5e-4)
+        simulate_wire(np.zeros(3), np.array([0.0, -1.0, 0.0]), props, env, 5e-4)
