@@ -7,7 +7,8 @@ Commands
     calibrate  fit free parameters to the configured AMADO targets
     swim       swimmer trajectory and speed-vs-frequency scan
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/solver error.
+Exit codes: 0 success, 2 configuration error, 3 simulation error (a non-finite
+state or a failed run-time check).
 All outputs are deterministic functions of the config text and command;
 --threads only changes wall time.
 """

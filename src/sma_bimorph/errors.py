@@ -21,14 +21,6 @@ class WindowError(SimulationError):
     """Analysis window does not cover the required whole periods."""
 
 
-class SolverError(SimulationError):
-    """Root finding failed to converge within the iteration budget."""
-
-
-class BracketError(SolverError):
-    """Root finding could not bracket a sign change."""
-
-
 class ClearanceError(SimulationError):
     """Wire/beam clearance is non-positive somewhere in the operating envelope."""
 

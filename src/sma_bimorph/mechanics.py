@@ -4,15 +4,20 @@ The central beam-spring is lumped into a single rotational stiffness
 k_beam about the neutral pose; the tip moves by delta = g_tip * theta
 (up positive).  Each wire group attaches at a moment arm r_m from the
 neutral axis, so beam rotation theta changes the kinematic wire strain by
--/+ (r_m / active_length) * theta for the top/bottom group.  At assembly
-both groups are detwinned martensite stretched by eps_l plus an elastic
-pre-strain, which defines the relaxed pose theta = 0.
+-/+ gamma * theta (gamma = r_m / active_length) for the top/bottom group.
+At assembly both groups are detwinned martensite stretched by eps_l plus an
+elastic pre-strain, which defines the relaxed pose theta = 0.
 
 Equilibrium solves the torque balance
     r_m * A * (sigma_top - sigma_bottom) - k_beam * theta = 0
-by bisection; the residual is strictly decreasing in theta (a taut wire
-loses tension as the beam rotates toward it), so the root is unique.
-Wires are tension-only: a slack group carries zero force.
+in closed form.  With G = r_m * A, E = e_a + xi (e_m - e_a) and
+free = eps_l + pre_strain - eps_l xi >= pre_strain >= 0 (each wire's strain
+beyond its free length at theta = 0), sigma = E (free -/+ gamma theta) while
+taut, so
+    theta = G (E_t free_t - E_b free_b) / D,  D = G gamma (E_t + E_b) + k_beam.
+Both wires are taut there: free_t - gamma theta
+= [free_t (G gamma E_b + k_beam) + G gamma E_b free_b] / D >= 0, and the
+bottom wire likewise, so the balance is linear and no slack regime occurs.
 
 Clearance: the wires are installed at a small angle alpha to the device
 axis, the wire line crossing the axis a mount_offset behind the base
@@ -35,18 +40,10 @@ import numpy as np
 
 from ._accel import njit
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
-from .errors import BracketError, ClearanceError, NumericError, ParameterError, SolverError
+from .errors import ClearanceError, NumericError, ParameterError
 from .sma import (Environment, WireProperties, WireState, _sample_arrays, _scalar_state,
                   _tension_from_kinematics, _wire_constants, _wire_state, _wire_step,
                   relaxed_state)
-
-RESIDUAL_TOL = 1e-9      # N m
-MAX_SOLVER_ITERATIONS = 200
-
-_STATUS_OK = 0
-_STATUS_NO_BRACKET = 1
-_STATUS_NO_CONVERGENCE = 2
-_STATUS_NONFINITE = 3
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class EquilibriumResult:
     sigma_top: float     # Pa
     sigma_bottom: float  # Pa
     residual: float      # N m
-    iterations: int
+    iterations: int      # always 1 (closed form); kept for callers that report it
 
 
 @dataclass(frozen=True)
@@ -113,48 +110,20 @@ class DisplacementTrace:
 # equilibrium
 
 @njit
-def _equilibrium(xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam,
-                 e_a, e_m, eps_l, tol, max_iter):
-    """Bisect the torque balance for theta.
+def _equilibrium(xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l):
+    """Closed-form torque balance; torque_gain = r_m * cross_section.
 
-    torque_gain = r_m * cross_section. Returns
-    (theta, sigma_top, sigma_bottom, residual, iterations, status).
+    Returns (theta, sigma_top, sigma_bottom, residual).  The clamp in
+    _tension_from_kinematics only guards rounding: both wires are taut.
     """
-    bracket = 2.0 * eps_assembly / gamma
-
-    lo = -bracket
-    hi = bracket
-    e_top = eps_assembly - gamma * lo
-    e_bot = eps_assembly + gamma * lo
-    s_t = _tension_from_kinematics(e_top, xi_t, e_a, e_m, eps_l)
-    s_b = _tension_from_kinematics(e_bot, xi_b, e_a, e_m, eps_l)
-    f_lo = torque_gain * (s_t - s_b) - k_beam * lo
-    e_top = eps_assembly - gamma * hi
-    e_bot = eps_assembly + gamma * hi
-    s_t = _tension_from_kinematics(e_top, xi_t, e_a, e_m, eps_l)
-    s_b = _tension_from_kinematics(e_bot, xi_b, e_a, e_m, eps_l)
-    f_hi = torque_gain * (s_t - s_b) - k_beam * hi
-    if not (f_lo > 0.0 and f_hi < 0.0):
-        return 0.0, 0.0, 0.0, 0.0, 0, _STATUS_NO_BRACKET
-
-    theta = 0.0
-    s_top = 0.0
-    s_bot = 0.0
-    resid = 0.0
-    for it in range(1, max_iter + 1):
-        theta = 0.5 * (lo + hi)
-        e_top = eps_assembly - gamma * theta
-        e_bot = eps_assembly + gamma * theta
-        s_top = _tension_from_kinematics(e_top, xi_t, e_a, e_m, eps_l)
-        s_bot = _tension_from_kinematics(e_bot, xi_b, e_a, e_m, eps_l)
-        resid = torque_gain * (s_top - s_bot) - k_beam * theta
-        if abs(resid) < tol:
-            return theta, s_top, s_bot, resid, it, _STATUS_OK
-        if resid > 0.0:
-            lo = theta
-        else:
-            hi = theta
-    return theta, s_top, s_bot, resid, max_iter, _STATUS_NO_CONVERGENCE
+    e_top = e_a + xi_t * (e_m - e_a)
+    e_bot = e_a + xi_b * (e_m - e_a)
+    theta = (torque_gain * (e_top * (eps_assembly - eps_l * xi_t)
+                            - e_bot * (eps_assembly - eps_l * xi_b))
+             / (torque_gain * gamma * (e_top + e_bot) + k_beam))
+    s_top = _tension_from_kinematics(eps_assembly - gamma * theta, xi_t, e_a, e_m, eps_l)
+    s_bot = _tension_from_kinematics(eps_assembly + gamma * theta, xi_b, e_a, e_m, eps_l)
+    return theta, s_top, s_bot, torque_gain * (s_top - s_bot) - k_beam * theta
 
 
 def _balance_constants(geom: ActuatorGeometry, props: WireProperties):
@@ -166,18 +135,10 @@ def _balance_constants(geom: ActuatorGeometry, props: WireProperties):
 def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
                       props: WireProperties) -> EquilibriumResult:
     """Beam rotation, tip displacement and wire stresses in torque balance."""
-    theta, s_t, s_b, resid, iters, status = _equilibrium(
-        top.xi, bottom.xi, *_balance_constants(geom, props),
-        RESIDUAL_TOL, MAX_SOLVER_ITERATIONS)
-    if status == _STATUS_NO_BRACKET:
-        raise BracketError("torque residual does not change sign over the bracket")
-    if status == _STATUS_NO_CONVERGENCE:
-        raise SolverError(
-            f"equilibrium not converged after {MAX_SOLVER_ITERATIONS} iterations, "
-            f"|residual| = {abs(resid):.3e} N m")
+    theta, s_t, s_b, resid = _equilibrium(top.xi, bottom.xi, *_balance_constants(geom, props))
     return EquilibriumResult(theta=theta, delta=geom.g_tip * theta,
                              sigma_top=s_t, sigma_bottom=s_b,
-                             residual=resid, iterations=iters)
+                             residual=resid, iterations=1)
 
 
 def relaxed_actuator(props: WireProperties, env: Environment,
@@ -265,13 +226,13 @@ def _trace_loop(i_t, i_b, dt,
 
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
     is applied.  Wire stresses seen by the kinetics lag one step (they
-    come from the previous equilibrium).  Returns (status, bad_index,
-    max_residual, theta, then each wire's temperature, xi, anchor_xi,
-    anchor_t, branch and sigma).
+    come from the previous equilibrium).  Returns (bad_index, max_residual,
+    theta, then each wire's temperature, xi, anchor_xi, anchor_t, branch
+    and sigma); bad_index is the sample where a temperature became
+    non-finite, or -1.
     """
     theta = 0.0
     max_resid = 0.0
-    status = _STATUS_OK
     bad_index = -1
     for n in range(i_t.size):
         out_delta[n] = g_tip * theta
@@ -292,21 +253,16 @@ def _trace_loop(i_t, i_b, dt,
             dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
         if not (math.isfinite(temp_t) and math.isfinite(temp_b)):
-            status = _STATUS_NONFINITE
             bad_index = n
             break
         prev_t = temp_t
         prev_b = temp_b
 
-        theta, sigma_t, sigma_b, resid, iters, status = _equilibrium(
-            xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam,
-            e_a, e_m, eps_l, RESIDUAL_TOL, MAX_SOLVER_ITERATIONS)
-        if status != _STATUS_OK:
-            bad_index = n
-            break
+        theta, sigma_t, sigma_b, resid = _equilibrium(
+            xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l)
         if abs(resid) > max_resid:
             max_resid = abs(resid)
-    return (status, bad_index, max_resid, theta,
+    return (bad_index, max_resid, theta,
             temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t,
             temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b)
 
@@ -323,18 +279,14 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     out = {name: np.empty(n) for name in
            ("delta", "theta", "temp_t", "temp_b", "xi_t", "xi_b", "sig_t", "sig_b")}
 
-    status, bad_index, max_resid, theta, *wires = _trace_loop(
+    bad_index, max_resid, theta, *wires = _trace_loop(
         i_t, i_b, dt, *_scalar_state(initial.top), *_scalar_state(initial.bottom),
         *_wire_constants(props, env), *_balance_constants(geom, props), geom.g_tip,
         out["delta"], out["theta"], out["temp_t"], out["temp_b"],
         out["xi_t"], out["xi_b"], out["sig_t"], out["sig_b"])
 
-    if status == _STATUS_NONFINITE:
+    if bad_index >= 0:
         raise NumericError(f"state became non-finite at sample {bad_index}")
-    if status == _STATUS_NO_BRACKET:
-        raise BracketError(f"equilibrium bracketing failed at sample {bad_index}")
-    if status == _STATUS_NO_CONVERGENCE:
-        raise SolverError(f"equilibrium did not converge at sample {bad_index}")
 
     final = ActuatorState(
         top=_wire_state(*wires[:6], props), bottom=_wire_state(*wires[6:], props),
