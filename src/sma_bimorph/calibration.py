@@ -77,6 +77,9 @@ class CalibrationProblem:
                 raise ParameterError(f"target must be (f, dc, amado_mm > 0), got {tgt}")
         if self.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {self.budget}")
+        for name in ("run_length", "steady_window"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be > 0 s, got {getattr(self, name)}")
         if self.steady_window > self.run_length:
             raise ParameterError(f"steady_window {self.steady_window} s exceeds "
                                  f"run_length {self.run_length} s")

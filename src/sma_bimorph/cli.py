@@ -10,7 +10,8 @@ Commands
 Exit codes: 0 success, 2 configuration error, 3 simulation error (a non-finite
 state or a failed run-time check).
 All outputs are deterministic functions of the config text and command;
---threads only changes wall time.
+--threads never changes them, and without numba it does not shorten wall
+time either (the plain-Python sweep cells hold the GIL).
 """
 
 import argparse
@@ -141,7 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: run.out_dir from the config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep cells; affects wall time only")
+                        help="worker threads for sweep cells; never changes outputs, "
+                             "and without numba does not reduce wall time")
     args = parser.parse_args(argv)
 
     try:

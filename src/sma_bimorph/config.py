@@ -256,6 +256,10 @@ def parse_config(text: str) -> ScenarioConfig:
                          warnings=tuple(warnings), **fields.get(ScenarioConfig, {}))
     if cfg.duration <= 0:
         raise ConfigError(f"drive.duration_s: must be > 0, got {cfg.duration}")
+    if cfg.run_length <= 0:
+        raise ConfigError(f"metrology.run_s: must be > 0, got {cfg.run_length}")
+    if cfg.steady_window <= 0:
+        raise ConfigError(f"metrology.steady_window_s: must be > 0, got {cfg.steady_window}")
     if cfg.steady_window > cfg.run_length:
         raise ConfigError("metrology.steady_window_s: exceeds run_s")
     if cfg.swim_convection_multiplier < 1.0:

@@ -226,7 +226,8 @@ def _trace_loop(i_t, i_b, dt,
 
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
     is applied.  Wire stresses seen by the kinetics lag one step (they
-    come from the previous equilibrium).  Returns (bad_index, max_residual,
+    come from the previous equilibrium); currents are read as Python floats,
+    as in sma._simulate_wire.  Returns (bad_index, max_residual,
     theta, then each wire's temperature, xi, anchor_xi, anchor_t, branch
     and sigma); bad_index is the sample where a temperature became
     non-finite, or -1.
@@ -245,11 +246,11 @@ def _trace_loop(i_t, i_b, dt,
         out_sig_b[n] = sigma_b
 
         temp_t, xi_t, anc_xi_t, anc_t_t, br_t = _wire_step(
-            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t, i_t[n], sigma_t,
+            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t, float(i_t[n]), sigma_t,
             dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
         temp_b, xi_b, anc_xi_b, anc_t_b, br_b = _wire_step(
-            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b, i_b[n], sigma_b,
+            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b, float(i_b[n]), sigma_b,
             dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
         if not (math.isfinite(temp_t) and math.isfinite(temp_b)):

@@ -322,15 +322,18 @@ def _simulate_wire(currents, sigmas, dt, temp, xi, anchor_xi, anchor_t, branch,
 
     The scalar arguments temp .. held are the initial state.  Records the
     state after each step and returns the final scalar state tuple
-    (temperature, xi, anchor_xi, anchor_t, branch).
+    (temperature, xi, anchor_xi, anchor_t, branch).  Samples are read as
+    Python floats: a NumPy scalar would turn all later arithmetic of the
+    step into slower NumPy-scalar arithmetic when the loop runs uncompiled.
     """
     for n in range(currents.size):
+        sigma = float(sigmas[n])
         temp, xi, anchor_xi, anchor_t, branch = _wire_step(
-            temp, t_prev, xi, anchor_xi, anchor_t, branch, held, currents[n], sigmas[n],
+            temp, t_prev, xi, anchor_xi, anchor_t, branch, held, float(currents[n]), sigma,
             dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
         t_prev = temp
-        held = sigmas[n]
+        held = sigma
         out_temp[n] = temp
         out_xi[n] = xi
     return temp, xi, anchor_xi, anchor_t, branch

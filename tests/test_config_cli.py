@@ -163,6 +163,26 @@ class TestCliProcess:
         assert result.returncode == 2
         assert "calibration" in result.stderr
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("sweep", "metrology:\n  run_s: 0\n  steady_window_s: 0\n", "metrology.run_s"),
+        ("sweep", "metrology:\n  run_s: 1\n  steady_window_s: 0\n"
+                  "  frequencies_hz: [5]\n  duty_cycles_pct: [10]\n",
+         "metrology.steady_window_s"),
+        ("calibrate", "calibration:\n  run_s: 0\n  steady_window_s: 0\n",
+         "calibration: run_length"),
+        ("calibrate", "calibration:\n  run_s: 4\n  steady_window_s: 0\n  budget: 1\n",
+         "calibration: steady_window"),
+    ], ids=["metrology-run", "metrology-window", "calibration-run", "calibration-window"])
+    def test_non_positive_run_length_exit_two(self, tmp_path, command, text, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "sma_bimorph.cli", command,
+             "--config", str(bad), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert key in result.stderr
+
     def test_warning_emitted_on_stderr(self, tmp_path):
         risky = tmp_path / "risky.yaml"
         risky.write_text("drive:\n  duty_cycle_pct: 11\n  duration_s: 2\n")

@@ -142,6 +142,18 @@ class TestStepActuator:
         assert np.array_equal([eq.sigma_top for eq in solved], trace.sigma_top[1:])
         assert np.array_equal([eq.sigma_bottom for eq in solved], trace.sigma_bottom[1:])
 
+    def test_final_state_holds_python_floats(self, props, env, geom, circuit):
+        # the loop reads each drive sample as a float, so no NumPy scalar
+        # reaches the state it carries from step to step
+        drive = make_pwm_pair(PwmConfig(frequency=5.0, duty_cycle=0.10), circuit, 1.0)
+        final = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0).final_state
+        for wire in (final.top, final.bottom):
+            for name in ("temperature", "xi", "sigma", "strain", "anchor_xi", "anchor_t",
+                         "t_prev"):
+                assert type(getattr(wire, name)) is float, name
+        assert type(final.theta) is float
+        assert type(final.delta) is float
+
     def test_mirror_symmetry_bitwise(self, props, env, geom, circuit):
         cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)
         drive = make_pwm_pair(cfg, circuit, 4.0)

@@ -291,6 +291,15 @@ class TestVectorScalarConsistency:
             assert state.xi == xi[k]
         assert final == state
 
+    def test_final_state_holds_python_floats(self, props, env):
+        rng = np.random.default_rng(5)
+        currents = rng.uniform(0.0, 0.25, 400)
+        sigmas = rng.uniform(0.0, 300e6, 400)
+        final = simulate_wire(currents, sigmas, props, env, 5e-4)[2]
+        for name in ("temperature", "xi", "sigma", "strain", "anchor_xi", "anchor_t",
+                     "t_prev"):
+            assert type(getattr(final, name)) is float, name
+
 
 class TestConstitutiveRoundTrip:
     @given(xi=st.floats(0.0, 1.0), elastic=st.floats(1e-5, 0.02))
