@@ -19,7 +19,6 @@ MEASURED_AV_MAX = {1.0: 7.08, 5.0: 1.83, 10.0: 0.56, 15.0: 0.28, 20.0: 0.006}
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--skip-calibration", action="store_true",
                         help="sweep at the nominal constants instead")
     args = parser.parse_args()
@@ -39,7 +38,7 @@ def main():
 
     freqs = (1.0, 5.0, 10.0, 15.0, 20.0)
     dcs = tuple(d / 100 for d in range(1, 11))
-    table = run_sweep(freqs, dcs, circuit, props, env, geom, threads=args.threads)
+    table = run_sweep(freqs, dcs, circuit, props, env, geom)
 
     print("\nf [Hz]   AV_max model [mm]   AV_max bench [mm]")
     for f in freqs:

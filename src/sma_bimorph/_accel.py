@@ -1,20 +1,3 @@
-"""Optional numba acceleration.
-
-The hot numeric kernels are written as plain scalar Python so they run
-unchanged when numba is unavailable; with numba installed they are
-compiled once and cached on disk. fastmath stays off, results must be
-bit-identical between runs.
-"""
-
-try:
-    from numba import njit as _njit
-
-    def njit(func):
-        return _njit(cache=True, nogil=True)(func)
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    def njit(func):
-        return func
-
-    HAVE_NUMBA = False
+# The kernels are plain Python, never numba-compiled.  Only perfbench/run.py's
+# run manifest reads this flag; it goes with the next benchmark change.
+HAVE_NUMBA = False

@@ -9,9 +9,8 @@ Commands
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error (a non-finite
 state or a failed run-time check).
-All outputs are deterministic functions of the config text and command;
---threads never changes them, and without numba it does not shorten wall
-time either (the plain-Python sweep cells hold the GIL).
+All outputs are deterministic functions of the config text and command.
+Every command runs serially in one thread.
 """
 
 import argparse
@@ -33,7 +32,7 @@ from .mechanics import run_mode_trace
 from .metrology import design_fir, filter_zero_phase, measure_amado, run_sweep
 
 
-def cmd_simulate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = run_mode_trace(cfg.pwm, cfg.circuit, cfg.props, cfg.env, cfg.geom,
                            cfg.duration)
     filtered = filter_zero_phase(design_fir(cfg.fir), trace.delta)
@@ -41,11 +40,10 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]
     return [write_csv(out_dir / f"{cfg.scenario}_trace.csv", TRACE_SCHEMA, rows)]
 
 
-def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     table = run_sweep(cfg.sweep_frequencies, cfg.sweep_duty_cycles, cfg.circuit,
                       cfg.props, cfg.env, cfg.geom, run_length=cfg.run_length,
-                      steady_window=cfg.steady_window, fir=cfg.fir, pwm=cfg.pwm,
-                      threads=threads)
+                      steady_window=cfg.steady_window, fir=cfg.fir, pwm=cfg.pwm)
     rows = [(r.frequency, r.duty_cycle * 100.0, r.amado, r.std, r.normalized)
             for r in table.rows]
     for (f, dc), message in sorted(table.errors.items()):
@@ -55,7 +53,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
     return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA, rows)]
 
 
-def cmd_power(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_power(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = make_pwm_pair(cfg.pwm, cfg.circuit, cfg.duration)
     power = average_power(trace, cfg.circuit)
     print(f"peak p_a = {power.p_a.max():.6f} W, average p_a = {power.p_bar:.6f} W")
@@ -63,7 +61,7 @@ def cmd_power(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
     return [write_csv(out_dir / f"{cfg.scenario}_power.csv", POWER_SCHEMA, rows)]
 
 
-def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     result = calibrate(cfg.calibration, cfg.circuit, cfg.props, cfg.env, cfg.geom,
                        pwm=cfg.pwm, fir=cfg.fir)
     lines = [f"scenario: {cfg.scenario}",
@@ -84,7 +82,7 @@ def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path
     return [report]
 
 
-def cmd_swim(cfg: ScenarioConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     water_env = replace(cfg.env, convection_multiplier=cfg.swim_convection_multiplier)
     # trajectory at the configured drive frequency; the soft tail transmits
     # only the fundamental of the actuator motion, so the swimmer is driven
@@ -124,11 +122,15 @@ COMMANDS = {
 
 
 def run_scenario(cfg: ScenarioConfig, command: str, out_dir=None, threads: int = 1):
-    """Execute one subcommand; returns the list of written artifact paths."""
+    """Execute one subcommand; returns the list of written artifact paths.
+
+    threads is accepted and ignored, since commands run serially; the
+    benchmark worker and the acceptance suite still pass it.
+    """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {sorted(COMMANDS)}")
     target = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    return COMMANDS[command](cfg, target, max(1, threads))
+    return COMMANDS[command](cfg, target)
 
 
 def main(argv=None) -> int:
@@ -141,9 +143,6 @@ def main(argv=None) -> int:
                              "characterization protocol)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: run.out_dir from the config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep cells; never changes outputs, "
-                             "and without numba does not reduce wall time")
     args = parser.parse_args(argv)
 
     try:
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
 
     try:
-        paths = run_scenario(cfg, args.command, out_dir=args.out, threads=args.threads)
+        paths = run_scenario(cfg, args.command, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -230,10 +230,18 @@ def parse_config(text: str) -> ScenarioConfig:
             fields.setdefault(owner, {})[name] = convert(value) if convert else value
 
     def build(section, owner, **derived):
+        given = fields.get(owner, {})
         try:
-            return owner(**fields.get(owner, {}), **derived)
+            return owner(**given, **derived)
         except ParameterError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
+            # an error that opens with the name of a field set in the file is
+            # reported under that field's key, any other under the section
+            name = str(exc).split(" ", 1)[0]
+            path = next((f"{section}.{key}" for key, (_, cls, field_name, _)
+                         in _KEYS[section].items()
+                         if cls is owner and field_name == name and name in given),
+                        section)
+            raise ConfigError(f"{path}: {exc}") from exc
 
     pwm = build("drive", PwmConfig)
     circuit = build("drive", CircuitParams)

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
 from .errors import ClearanceError, NumericError, ParameterError
 from .sma import (Environment, WireProperties, WireState, _sample_arrays, _scalar_state,
@@ -109,7 +108,6 @@ class DisplacementTrace:
 # ---------------------------------------------------------------------------
 # equilibrium
 
-@njit
 def _equilibrium(xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l):
     """Closed-form torque balance; torque_gain = r_m * cross_section.
 
@@ -213,7 +211,6 @@ def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
 # ---------------------------------------------------------------------------
 # coupled time stepping
 
-@njit
 def _trace_loop(i_t, i_b, dt,
                 temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t, sigma_t,
                 temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b, sigma_b,

@@ -15,7 +15,6 @@ same magnitude response.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,33 +158,21 @@ def measure_amado(pwm: PwmConfig, frequency: float, duty_cycle: float,
 def run_sweep(frequencies, duty_cycles, params: CircuitParams, props: WireProperties,
               env: Environment, geom: ActuatorGeometry,
               run_length: float = RUN_LENGTH, steady_window: float = STEADY_WINDOW,
-              fir: FirSpec | None = None, pwm: PwmConfig = PwmConfig(),
-              threads: int = 1) -> SweepTable:
-    """Simulate every (f, DC) cell and tabulate AMADO.
+              fir: FirSpec | None = None, pwm: PwmConfig = PwmConfig()) -> SweepTable:
+    """Simulate every (f, DC) cell in (f, DC) order and tabulate AMADO.
 
-    Each cell is cut from the pwm template (see measure_amado).  Cells are
-    independent; the thread count changes wall time only, never the table
-    contents.  A failed cell is recorded under .errors with its exception
-    message rather than dropped.
+    Each cell is cut from the pwm template (see measure_amado).  A failed
+    cell is recorded under .errors with its exception message rather than
+    dropped.
     """
-    cells = sorted((float(f), float(dc)) for f in frequencies for dc in duty_cycles)
-
-    def work(cell):
-        f, dc = cell
+    results = []
+    errors = {}
+    for f, dc in sorted((float(f), float(dc)) for f in frequencies for dc in duty_cycles):
         try:
-            return cell, measure_amado(pwm, f, dc, params, props, env, geom,
-                                       run_length, steady_window, fir), None
+            results.append(measure_amado(pwm, f, dc, params, props, env, geom,
+                                         run_length, steady_window, fir))
         except SimulationError as exc:
-            return cell, None, f"{type(exc).__name__}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(c) for c in cells]
-
-    results = [res for _, res, _ in outcomes if res is not None]
-    errors = {cell: err for cell, res, err in outcomes if res is None}
+            errors[(f, dc)] = f"{type(exc).__name__}: {exc}"
     av_max = {}
     for res in results:
         av_max[res.frequency] = max(av_max.get(res.frequency, 0.0), res.amado)

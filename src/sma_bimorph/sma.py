@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import njit
 from .errors import NumericError, ParameterError
 
 # branch codes for the hysteresis state machine
@@ -168,9 +167,8 @@ def relaxed_state(props: WireProperties, env: Environment) -> WireState:
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels (numba-compiled when available)
+# scalar kernels
 
-@njit
 def _heating_shape(temp, a_s_eff, a_f_eff):
     # major heating branch from xi=1: holds 1 below A_s, half-cosine to 0 at A_f
     if temp <= a_s_eff:
@@ -180,7 +178,6 @@ def _heating_shape(temp, a_s_eff, a_f_eff):
     return 0.5 * (math.cos(math.pi * (temp - a_s_eff) / (a_f_eff - a_s_eff)) + 1.0)
 
 
-@njit
 def _cooling_shape(temp, m_f_eff, m_s_eff):
     # martensite formed on the major cooling branch started from xi=0
     if temp >= m_s_eff:
@@ -190,7 +187,6 @@ def _cooling_shape(temp, m_f_eff, m_s_eff):
     return 0.5 * (math.cos(math.pi * (temp - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0)
 
 
-@njit
 def _phase_step(xi, temp, t_prev, sigma, anchor_xi, anchor_t, branch,
                 m_f, m_s, a_s, a_f, c_m, c_a):
     """Advance the hysteresis state machine to temperature `temp`.
@@ -250,7 +246,6 @@ def _phase_step(xi, temp, t_prev, sigma, anchor_xi, anchor_t, branch,
     return new_xi, anchor_xi, anchor_t, branch
 
 
-@njit
 def _phase_slope(xi, temp, sigma, anchor_xi, anchor_t, branch,
                  m_f, m_s, a_s, a_f, c_m, c_a):
     """|dxi/dT| of the active branch, for the latent-heat correction."""
@@ -273,7 +268,6 @@ def _phase_slope(xi, temp, sigma, anchor_xi, anchor_t, branch,
     return 0.0
 
 
-@njit
 def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     # invert the constitutive law at fixed xi; slack wires carry nothing
     e_mod = e_a + xi * (e_m - e_a)
@@ -281,7 +275,6 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     return s if s > 0.0 else 0.0
 
 
-@njit
 def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, sigma_held, current, sigma,
                dt, resistance, h_area, heat_cap, latent_cap, t_amb,
                m_f, m_s, a_s, a_f, c_m, c_a):
@@ -313,7 +306,6 @@ def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, sigma_held, curren
     return new_temp, xi, anchor_xi, anchor_t, branch
 
 
-@njit
 def _simulate_wire(currents, sigmas, dt, temp, xi, anchor_xi, anchor_t, branch,
                    t_prev, held, resistance, h_area, heat_cap, latent_cap, t_amb,
                    m_f, m_s, a_s, a_f, c_m, c_a,
@@ -324,7 +316,7 @@ def _simulate_wire(currents, sigmas, dt, temp, xi, anchor_xi, anchor_t, branch,
     state after each step and returns the final scalar state tuple
     (temperature, xi, anchor_xi, anchor_t, branch).  Samples are read as
     Python floats: a NumPy scalar would turn all later arithmetic of the
-    step into slower NumPy-scalar arithmetic when the loop runs uncompiled.
+    step into slower NumPy-scalar arithmetic.
     """
     for n in range(currents.size):
         sigma = float(sigmas[n])
@@ -390,7 +382,7 @@ def transformation_temperatures(props: WireProperties, sigma: float):
 
 def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
                   dt: float, state: WireState | None = None):
-    """Vector convenience wrapper around the compiled wire loop.
+    """Vector convenience wrapper around the wire loop.
 
     currents and sigmas are same-length sample arrays (zero-order hold over
     each dt). Returns (temperature trace, xi trace, final WireState).

@@ -78,9 +78,11 @@ def _drag(v, params):
 
 
 def steady_speed(frequency: float, amplitude: float, params: SwimmerParams) -> float:
-    """Forward speed where mean thrust k (a 2 pi f)^2 balances drag.
+    """Forward speed where mean thrust T = k (a 2 pi f)^2 balances drag.
 
-    Closed form when one drag term is absent, bisection otherwise.
+    The positive root of q v^2 + b v = T (q = rho cda / 2, b the linear
+    drag), written as 2T / (b + sqrt(b^2 + 4 q T)) so that it holds at
+    b = 0 and loses no digits when b^2 dominates 4 q T.
     """
     if frequency < 0 or amplitude < 0:
         raise ParameterError("frequency and amplitude must be >= 0")
@@ -88,19 +90,8 @@ def steady_speed(frequency: float, amplitude: float, params: SwimmerParams) -> f
     if thrust == 0.0:
         return 0.0
     quad = 0.5 * params.rho * params.longitudinal_cda
-    if params.linear_drag == 0.0:
-        return math.sqrt(thrust / quad)
-    if params.longitudinal_cda == 0.0:
-        return thrust / params.linear_drag
-    lo = 0.0
-    hi = math.sqrt(thrust / quad) + thrust / params.linear_drag
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _drag(mid, params) < thrust:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lin = params.linear_drag
+    return 2.0 * thrust / (lin + math.sqrt(lin * lin + 4.0 * quad * thrust))
 
 
 def fit_thrust_coefficient(frequency: float, amplitude: float, target_speed: float,

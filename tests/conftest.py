@@ -51,4 +51,4 @@ def calibrated_sweep(circuit, calibrated):
     """Full characterization grid evaluated at the calibrated parameters."""
     fit = calibrated.result
     return run_sweep(FULL_FREQUENCIES, FULL_DUTY_CYCLES, circuit,
-                     fit.props, fit.env, fit.geom, threads=4)
+                     fit.props, fit.env, fit.geom)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -110,6 +111,14 @@ class TestRunScenario:
         four = run_scenario(cfg, "sweep", out_dir=tmp_path / "t4", threads=4)[0].read_bytes()
         assert one == four
 
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the sweep started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = parse_config(SMALL_SWEEP)
+        path = run_scenario(cfg, "sweep", out_dir=tmp_path, threads=4)[0]
+        assert len(path.read_text().splitlines()) == 5
+
     def test_sweep_csv_header_contract(self, tmp_path):
         cfg = parse_config(SMALL_SWEEP)
         path = run_scenario(cfg, "sweep", out_dir=tmp_path)[0]
@@ -169,9 +178,9 @@ class TestCliProcess:
                   "  frequencies_hz: [5]\n  duty_cycles_pct: [10]\n",
          "metrology.steady_window_s"),
         ("calibrate", "calibration:\n  run_s: 0\n  steady_window_s: 0\n",
-         "calibration: run_length"),
+         "calibration.run_s: run_length"),
         ("calibrate", "calibration:\n  run_s: 4\n  steady_window_s: 0\n  budget: 1\n",
-         "calibration: steady_window"),
+         "calibration.steady_window_s: steady_window"),
     ], ids=["metrology-run", "metrology-window", "calibration-run", "calibration-window"])
     def test_non_positive_run_length_exit_two(self, tmp_path, command, text, key):
         bad = tmp_path / "bad.yaml"
@@ -182,6 +191,30 @@ class TestCliProcess:
             capture_output=True, text=True)
         assert result.returncode == 2
         assert key in result.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ("calibration:\n  run_s: 0\n", "calibration.run_s: run_length must be > 0 s"),
+        ("sma:\n  diameter_m: 0\n", "sma.diameter_m: diameter must be > 0"),
+        ("drive:\n  sample_rate_hz: 5\n", "drive.sample_rate_hz: sample_rate 5.0 Hz"),
+        ("geometry:\n  wire_angle_deg: 90\n", "geometry.wire_angle_deg: alpha must be"),
+        ("metrology:\n  fir_order: 3\n", "metrology.fir_order: order must be"),
+    ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order"])
+    def test_field_check_names_the_key_written(self, tmp_path, text, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "sma_bimorph.cli", "power",
+             "--config", str(bad), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert message in result.stderr
+
+    def test_threads_flag_is_gone(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "sma_bimorph.cli", "sweep", "--help"],
+            capture_output=True, text=True)
+        assert result.returncode == 0
+        assert "--threads" not in result.stdout
 
     def test_warning_emitted_on_stderr(self, tmp_path):
         risky = tmp_path / "risky.yaml"

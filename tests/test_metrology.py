@@ -171,14 +171,6 @@ class TestRunSweep:
             top = max(group, key=lambda r: r.amado)
             assert top.normalized == 1.0
 
-    def test_thread_count_does_not_change_results(self, props, env, geom, circuit):
-        kwargs = dict(run_length=6.0, steady_window=3.0)
-        serial = run_sweep([1.0, 5.0], [0.05, 0.10], circuit, props, env, geom, **kwargs)
-        threaded = run_sweep([1.0, 5.0], [0.05, 0.10], circuit, props, env, geom,
-                             threads=4, **kwargs)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a.amado == b.amado and a.std == b.std and a.normalized == b.normalized
-
     def test_failed_cell_recorded_not_dropped(self, props, env, geom, circuit):
         # duty cycle above 0.5 overlaps in bimorph mode and must error per cell
         table = run_sweep([1.0], [0.10, 0.60], circuit, props, env, geom,

@@ -19,10 +19,13 @@ class TestSteadySpeed:
         assert steady_speed(3.0, 0.0, params) == 0.0
 
     def test_thrust_drag_residual_below_tolerance(self):
-        params = SwimmerParams()
-        v = steady_speed(3.0, 0.25, params)
-        thrust = params.thrust_coeff * (0.25 * 2 * math.pi * 3.0) ** 2
-        assert abs(thrust - _drag(v, params)) < 1e-9
+        for linear_drag in (0.0, 1e-7, 1e-5, 1e-3):
+            params = SwimmerParams(linear_drag=linear_drag)
+            for f in (0.5, 1.0, 2.0, 3.0, 4.0, 10.0, 20.0):
+                for amp in (1e-4, 1e-3, 0.01, 0.1, 0.25, 0.4, 1.0):
+                    v = steady_speed(f, amp, params)
+                    thrust = params.thrust_coeff * (amp * 2 * math.pi * f) ** 2
+                    assert abs(thrust - _drag(v, params)) / thrust < 1e-12
 
     def test_closed_form_quadratic_only(self):
         params = SwimmerParams(linear_drag=0.0)
