@@ -9,8 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sma_bimorph import (CalibrationProblem, CircuitParams, Environment,
-                         ActuatorGeometry, WireProperties, calibrate, run_sweep)
+from sma_bimorph import calibrate, parse_config, run_sweep
 from sma_bimorph.csvio import SWEEP_SCHEMA, write_csv
 
 MEASURED_AV_MAX = {1.0: 7.08, 5.0: 1.83, 10.0: 0.56, 15.0: 0.28, 20.0: 0.006}
@@ -23,22 +22,19 @@ def main():
                         help="sweep at the nominal constants instead")
     args = parser.parse_args()
 
-    circuit = CircuitParams()
-    props, env, geom = WireProperties(), Environment(), ActuatorGeometry()
+    cfg = parse_config("")   # the characterization protocol's defaults
+    circuit, props, env, geom = cfg.circuit, cfg.props, cfg.env, cfg.geom
 
     if not args.skip_calibration:
-        problem = CalibrationProblem(free=("g_tip", "h", "k_beam"),
-                                     targets=((1.0, 0.10, 7.08),), budget=150)
-        fit = calibrate(problem, circuit, props, env, geom)
+        fit = calibrate(cfg.calibration, circuit, props, env, geom)
         print(f"calibration: loss={fit.loss:.3e} evals={fit.evaluations} "
               f"converged={fit.converged}")
         for name, value in fit.parameters.items():
             print(f"  {name} = {value:.6g}")
         props, env, geom = fit.props, fit.env, fit.geom
 
-    freqs = (1.0, 5.0, 10.0, 15.0, 20.0)
-    dcs = tuple(d / 100 for d in range(1, 11))
-    table = run_sweep(freqs, dcs, circuit, props, env, geom)
+    freqs = cfg.sweep_frequencies
+    table = run_sweep(freqs, cfg.sweep_duty_cycles, circuit, props, env, geom)
 
     print("\nf [Hz]   AV_max model [mm]   AV_max bench [mm]")
     for f in freqs:

@@ -15,16 +15,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sma_bimorph import (CircuitParams, Environment, ActuatorGeometry, PwmConfig,
                          SwimmerParams, WireProperties, body_lengths_per_second,
-                         compute_amado, fit_thrust_coefficient, reynolds,
-                         run_mode_trace, run_swimmer, steady_speed)
+                         fit_thrust_coefficient, measure_amado, reynolds,
+                         run_swimmer, steady_speed)
 from sma_bimorph.csvio import SPEED_SCAN_SCHEMA, TRAJECTORY_SCHEMA, write_csv
+from sma_bimorph.metrology import RUN_LENGTH, STEADY_WINDOW
 
 
 def tail_amplitude(frequency, circuit, props, env, geom, swimmer):
-    cfg = PwmConfig(frequency=frequency, duty_cycle=swimmer.duty_cycle)
-    trace = run_mode_trace(cfg, circuit, props, env, geom, 30.0)
-    amado = compute_amado(trace.delta, frequency, 30.0, 15.0).amado
-    return swimmer.tail_gain * (amado * 1e-3) / 2.0, trace
+    amado = measure_amado(PwmConfig(), frequency, swimmer.duty_cycle, circuit, props, env,
+                          geom, RUN_LENGTH, STEADY_WINDOW).amado
+    return swimmer.tail_gain * (amado * 1e-3) / 2.0
 
 
 def main():
@@ -37,7 +37,7 @@ def main():
     water = Environment(convection_multiplier=1.5)
     swimmer = SwimmerParams()
 
-    amp3, trace3 = tail_amplitude(3.0, circuit, props, water, geom, swimmer)
+    amp3 = tail_amplitude(3.0, circuit, props, water, geom, swimmer)
     swimmer = fit_thrust_coefficient(3.0, amp3, 2.39e-3, swimmer)
     print(f"tail amplitude at 3 Hz: {amp3:.3f} rad; "
           f"fitted thrust coeff: {swimmer.thrust_coeff:.3e}")

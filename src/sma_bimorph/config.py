@@ -19,7 +19,7 @@ from .drive import CircuitParams, PwmConfig
 from .errors import ConfigError, ParameterError
 from .mechanics import ActuatorGeometry
 from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec
-from .sma import Environment, WireProperties
+from .sma import MAX_STEP, Environment, WireProperties
 from .swimmer import SwimmerParams
 
 _NUMBER = (int, float)
@@ -244,6 +244,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{path}: {exc}") from exc
 
     pwm = build("drive", PwmConfig)
+    if 1.0 / pwm.sample_rate > MAX_STEP:
+        raise ConfigError(f"drive.sample_rate_hz: must be >= {1.0 / MAX_STEP:g} Hz, "
+                          f"a time step of at most {MAX_STEP * 1e3:g} ms, got {pwm.sample_rate}")
     circuit = build("drive", CircuitParams)
     props = build("sma", WireProperties)
     env = build("environment", Environment)

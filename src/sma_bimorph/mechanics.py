@@ -85,7 +85,6 @@ class ActuatorState:
     bottom: WireState
     theta: float = 0.0
     delta: float = 0.0
-    mode: str = "bimorph"
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,14 @@ def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
 
 
 def relaxed_actuator(props: WireProperties, env: Environment,
-                     geom: ActuatorGeometry, mode: str = "bimorph") -> ActuatorState:
+                     geom: ActuatorGeometry) -> ActuatorState:
     """Both wire groups martensitic at ambient, beam in torque balance."""
     wire = relaxed_state(props, env)
     eq = solve_equilibrium(wire, wire, geom, props)
     top, bottom = (_wire_state(wire.temperature, wire.xi, wire.anchor_xi, wire.anchor_t,
                                wire.branch, sigma, props)
                    for sigma in (eq.sigma_top, eq.sigma_bottom))
-    return ActuatorState(top=top, bottom=bottom, theta=eq.theta, delta=eq.delta, mode=mode)
+    return ActuatorState(top=top, bottom=bottom, theta=eq.theta, delta=eq.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +210,35 @@ def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
 # ---------------------------------------------------------------------------
 # coupled time stepping
 
-def _trace_loop(i_t, i_b, dt,
-                temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t, sigma_t,
-                temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b, sigma_b,
-                resistance, h_area, heat_cap, latent_cap, t_amb,
-                m_f, m_s, a_s, a_f, c_m, c_a,
-                eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l, g_tip,
-                out_delta, out_theta, out_temp_t, out_temp_b,
-                out_xi_t, out_xi_b, out_sig_t, out_sig_b):
-    """March the two wires and the torque balance over a drive trace.
+def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
+                   geom: ActuatorGeometry, dt: float,
+                   initial: ActuatorState | None = None) -> DisplacementTrace:
+    """Run the coupled model over per-sample current arrays.
 
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
-    is applied.  Wire stresses seen by the kinetics lag one step (they
-    come from the previous equilibrium); currents are read as Python floats,
-    as in sma._simulate_wire.  Returns (bad_index, max_residual,
-    theta, then each wire's temperature, xi, anchor_xi, anchor_t, branch
-    and sigma); bad_index is the sample where a temperature became
-    non-finite, or -1.
+    is applied: each wire takes one _wire_step at its current, read as a
+    Python float, and at the stress of the previous equilibrium, held over
+    the step; then the torque balance is solved for the new xi pair.  The
+    trace starts at theta = 0.  Raises NumericError at the first sample
+    whose temperature is non-finite.
     """
+    i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
+    if initial is None:
+        initial = relaxed_actuator(props, env, geom)
+    temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t = _scalar_state(initial.top)
+    temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b = _scalar_state(initial.bottom)
+    sigma_t, sigma_b = initial.top.sigma, initial.bottom.sigma
+    (resistance, h_area, heat_cap, latent_cap, t_amb,
+     m_f, m_s, a_s, a_f, c_m, c_a) = _wire_constants(props, env)
+    eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l = _balance_constants(geom, props)
+    g_tip = geom.g_tip
+
+    size = i_t.size
+    (out_delta, out_theta, out_temp_t, out_temp_b,
+     out_xi_t, out_xi_b, out_sig_t, out_sig_b) = (np.empty(size) for _ in range(8))
     theta = 0.0
     max_resid = 0.0
-    bad_index = -1
-    for n in range(i_t.size):
+    for n in range(size):
         out_delta[n] = g_tip * theta
         out_theta[n] = theta
         out_temp_t[n] = temp_t
@@ -243,16 +249,15 @@ def _trace_loop(i_t, i_b, dt,
         out_sig_b[n] = sigma_b
 
         temp_t, xi_t, anc_xi_t, anc_t_t, br_t = _wire_step(
-            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t, float(i_t[n]), sigma_t,
+            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, float(i_t[n]), sigma_t,
             dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
         temp_b, xi_b, anc_xi_b, anc_t_b, br_b = _wire_step(
-            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b, float(i_b[n]), sigma_b,
+            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, float(i_b[n]), sigma_b,
             dt, resistance, h_area, heat_cap, latent_cap, t_amb,
             m_f, m_s, a_s, a_f, c_m, c_a)
         if not (math.isfinite(temp_t) and math.isfinite(temp_b)):
-            bad_index = n
-            break
+            raise NumericError(f"state became non-finite at sample {n}")
         prev_t = temp_t
         prev_b = temp_b
 
@@ -260,41 +265,15 @@ def _trace_loop(i_t, i_b, dt,
             xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l)
         if abs(resid) > max_resid:
             max_resid = abs(resid)
-    return (bad_index, max_resid, theta,
-            temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t,
-            temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b)
-
-
-def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
-                   geom: ActuatorGeometry, dt: float,
-                   initial: ActuatorState | None = None) -> DisplacementTrace:
-    """Run the coupled model over per-sample current arrays."""
-    i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
-    if initial is None:
-        initial = relaxed_actuator(props, env, geom)
-
-    n = i_t.size
-    out = {name: np.empty(n) for name in
-           ("delta", "theta", "temp_t", "temp_b", "xi_t", "xi_b", "sig_t", "sig_b")}
-
-    bad_index, max_resid, theta, *wires = _trace_loop(
-        i_t, i_b, dt, *_scalar_state(initial.top), *_scalar_state(initial.bottom),
-        *_wire_constants(props, env), *_balance_constants(geom, props), geom.g_tip,
-        out["delta"], out["theta"], out["temp_t"], out["temp_b"],
-        out["xi_t"], out["xi_b"], out["sig_t"], out["sig_b"])
-
-    if bad_index >= 0:
-        raise NumericError(f"state became non-finite at sample {bad_index}")
 
     final = ActuatorState(
-        top=_wire_state(*wires[:6], props), bottom=_wire_state(*wires[6:], props),
-        theta=theta, delta=geom.g_tip * theta, mode=initial.mode)
-    t = np.arange(n, dtype=np.float64) * dt
+        top=_wire_state(temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t, props),
+        bottom=_wire_state(temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b, props),
+        theta=theta, delta=g_tip * theta)
     return DisplacementTrace(
-        t=t, delta=out["delta"], theta=out["theta"],
-        temp_top=out["temp_t"], temp_bottom=out["temp_b"],
-        xi_top=out["xi_t"], xi_bottom=out["xi_b"],
-        sigma_top=out["sig_t"], sigma_bottom=out["sig_b"],
+        t=np.arange(size, dtype=np.float64) * dt, delta=out_delta, theta=out_theta,
+        temp_top=out_temp_t, temp_bottom=out_temp_b, xi_top=out_xi_t, xi_bottom=out_xi_b,
+        sigma_top=out_sig_t, sigma_bottom=out_sig_b,
         max_residual=max_resid, final_state=final)
 
 
@@ -307,4 +286,4 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
             f"duration {duration} s must cover at least two periods of {cfg.frequency} Hz")
     drive = make_pwm_pair(cfg, params, duration)
     return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / cfg.sample_rate,
-                          initial=relaxed_actuator(props, env, geom, mode=cfg.mode))
+                          initial=relaxed_actuator(props, env, geom))

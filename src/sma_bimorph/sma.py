@@ -40,6 +40,8 @@ BRANCH_NONE = 0
 BRANCH_HEATING = 1
 BRANCH_COOLING = 2
 
+MAX_STEP = 1e-3  # s, the longest time step the explicit wire update is run at
+
 
 @dataclass(frozen=True)
 class WireProperties:
@@ -275,20 +277,21 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     return s if s > 0.0 else 0.0
 
 
-def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, sigma_held, current, sigma,
+def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, current, sigma,
                dt, resistance, h_area, heat_cap, latent_cap, t_amb,
                m_f, m_s, a_s, a_f, c_m, c_a):
     """Advance one wire group by dt: RK4 heat balance, then the phase step.
 
-    latent_cap is mass * latent_heat (J per unit xi); the transformation
-    slope at the step start augments the heat capacity.  The thermal step
-    precedes the stress assignment, so that slope sees sigma_held, the
-    stress carried into the step, while the kinetics see sigma.  Returns
+    current and sigma are held over the step, and the latent-heat slope and
+    the kinetics read that one stress.  Both are Python floats, since NumPy
+    scalars would make the rest of the step slower NumPy-scalar arithmetic.
+    latent_cap is mass * latent_heat (J per unit xi): the transformation
+    slope at the step start augments the heat capacity.  Returns
     (temperature, xi, anchor_xi, anchor_t, branch).
     """
     cap = heat_cap
     if latent_cap > 0.0:
-        cap = heat_cap + latent_cap * _phase_slope(xi, temp, sigma_held, anchor_xi,
+        cap = heat_cap + latent_cap * _phase_slope(xi, temp, sigma, anchor_xi,
                                                    anchor_t, branch,
                                                    m_f, m_s, a_s, a_f, c_m, c_a)
     q = current * current * resistance
@@ -306,31 +309,6 @@ def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, sigma_held, curren
     return new_temp, xi, anchor_xi, anchor_t, branch
 
 
-def _simulate_wire(currents, sigmas, dt, temp, xi, anchor_xi, anchor_t, branch,
-                   t_prev, held, resistance, h_area, heat_cap, latent_cap, t_amb,
-                   m_f, m_s, a_s, a_f, c_m, c_a,
-                   out_temp, out_xi):
-    """Drive one wire group with per-sample current and applied stress.
-
-    The scalar arguments temp .. held are the initial state.  Records the
-    state after each step and returns the final scalar state tuple
-    (temperature, xi, anchor_xi, anchor_t, branch).  Samples are read as
-    Python floats: a NumPy scalar would turn all later arithmetic of the
-    step into slower NumPy-scalar arithmetic.
-    """
-    for n in range(currents.size):
-        sigma = float(sigmas[n])
-        temp, xi, anchor_xi, anchor_t, branch = _wire_step(
-            temp, t_prev, xi, anchor_xi, anchor_t, branch, held, float(currents[n]), sigma,
-            dt, resistance, h_area, heat_cap, latent_cap, t_amb,
-            m_f, m_s, a_s, a_f, c_m, c_a)
-        t_prev = temp
-        held = sigma
-        out_temp[n] = temp
-        out_xi[n] = xi
-    return temp, xi, anchor_xi, anchor_t, branch
-
-
 # ---------------------------------------------------------------------------
 # public operations on WireState values
 
@@ -344,9 +322,9 @@ def wire_strain(xi: float, sigma: float, props: WireProperties) -> float:
 
 
 def _sample_arrays(dt, a, b, names):
-    """a and b as contiguous float arrays of one shape, stepped at dt <= 1 ms."""
-    if not 0.0 < dt <= 1e-3:
-        raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
+    """a and b as contiguous float arrays of one shape, stepped at dt <= MAX_STEP."""
+    if not 0.0 < dt <= MAX_STEP:
+        raise ParameterError(f"dt must be in (0, {MAX_STEP * 1e3:g} ms], got {dt}")
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -355,13 +333,13 @@ def _sample_arrays(dt, a, b, names):
 
 
 def _scalar_state(state: WireState):
-    """The state scalars the stepping kernels take, in their argument order."""
+    """The (temperature, xi, anchor_xi, anchor_t, branch, t_prev) a stepping loop carries."""
     return (state.temperature, state.xi, state.anchor_xi, state.anchor_t, state.branch,
-            state.t_prev, state.sigma)
+            state.t_prev)
 
 
 def _wire_constants(props: WireProperties, env: Environment):
-    """The wire constants the stepping kernels take, in their argument order."""
+    """The wire constants _wire_step takes after dt, in its argument order."""
     return (props.resistance, props.h * env.convection_multiplier * props.lateral_area,
             props.heat_capacity, props.mass * props.latent_heat, env.t_amb,
             props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a)
@@ -382,21 +360,31 @@ def transformation_temperatures(props: WireProperties, sigma: float):
 
 def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
                   dt: float, state: WireState | None = None):
-    """Vector convenience wrapper around the wire loop.
+    """Drive one wire group with per-sample current and applied stress.
 
-    currents and sigmas are same-length sample arrays (zero-order hold over
-    each dt). Returns (temperature trace, xi trace, final WireState).
+    currents and sigmas are same-length sample arrays, read as Python floats
+    and each held over its step (see _wire_step), as each wire of
+    mechanics.simulate_drive is stepped.  Returns (temperature trace, xi
+    trace, final WireState), the traces holding the state after each step.
     """
     currents, sigmas = _sample_arrays(dt, currents, sigmas, "currents and sigmas")
     if sigmas.size and sigmas.min() < 0.0:
         raise ParameterError(f"sigmas must be >= 0 (wires cannot push), got {sigmas.min()}")
     if state is None:
         state = relaxed_state(props, env)
+    temp, xi, anchor_xi, anchor_t, branch, t_prev = _scalar_state(state)
+    (resistance, h_area, heat_cap, latent_cap, t_amb,
+     m_f, m_s, a_s, a_f, c_m, c_a) = _wire_constants(props, env)
     out_temp = np.empty_like(currents)
     out_xi = np.empty_like(currents)
-    temp, xi, anchor_xi, anchor_t, branch = _simulate_wire(
-        currents, sigmas, dt, *_scalar_state(state), *_wire_constants(props, env),
-        out_temp, out_xi)
+    for n in range(currents.size):
+        temp, xi, anchor_xi, anchor_t, branch = _wire_step(
+            temp, t_prev, xi, anchor_xi, anchor_t, branch, float(currents[n]),
+            float(sigmas[n]), dt, resistance, h_area, heat_cap, latent_cap, t_amb,
+            m_f, m_s, a_s, a_f, c_m, c_a)
+        t_prev = temp
+        out_temp[n] = temp
+        out_xi[n] = xi
     if not math.isfinite(temp):
         raise NumericError(f"temperature became non-finite: {temp}")
     final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma

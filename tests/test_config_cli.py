@@ -198,7 +198,11 @@ class TestCliProcess:
         ("drive:\n  sample_rate_hz: 5\n", "drive.sample_rate_hz: sample_rate 5.0 Hz"),
         ("geometry:\n  wire_angle_deg: 90\n", "geometry.wire_angle_deg: alpha must be"),
         ("metrology:\n  fir_order: 3\n", "metrology.fir_order: order must be"),
-    ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order"])
+        ("drive:\n  sample_rate_hz: 500\n  duration_s: 2\n",
+         "drive.sample_rate_hz: must be >= 1000 Hz"),
+        ("drive:\n  sample_rate_hz: 150\n", "drive.sample_rate_hz: must be >= 1000 Hz"),
+    ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
+            "drive-rate-500", "drive-rate-150"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

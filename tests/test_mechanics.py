@@ -115,12 +115,16 @@ class TestStepActuator:
         trace = run_mode_trace(cfg, circuit, props, env, geom, 10.0)
         assert np.abs(trace.delta).max() < 1e-6
 
-    @pytest.mark.parametrize("frequency", [1.0, 5.0, 10.0])
+    @pytest.mark.parametrize("frequency, latent_heat", [
+        (1.0, 0.0), (5.0, 0.0), (10.0, 0.0), (1.0, 20e3), (5.0, 20e3), (10.0, 20e3),
+    ], ids=["1.0", "5.0", "10.0", "1.0-latent", "5.0-latent", "10.0-latent"])
     def test_wire_replay_reproduces_coupled_trace(self, props, env, geom, circuit,
-                                                  frequency):
+                                                  frequency, latent_heat):
         # each wire of the coupled loop, replayed alone under the stresses the
-        # trace recorded, follows the same path bit for bit; so does the
-        # public equilibrium solved for each recorded xi pair
+        # trace recorded, follows the same path bit for bit, with the latent
+        # heat term on or off; so does the public equilibrium solved for each
+        # recorded xi pair
+        props = replace(props, latent_heat=latent_heat)
         cfg = PwmConfig(frequency=frequency, duty_cycle=0.10)
         drive = make_pwm_pair(cfg, circuit, 4.0)
         initial = relaxed_actuator(props, env, geom)

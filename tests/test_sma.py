@@ -275,8 +275,8 @@ class TestInvariantSuite:
 
 class TestVectorScalarConsistency:
     def test_simulate_wire_matches_chained_single_steps(self, env):
-        # the final state carries everything the next step needs, including
-        # the held stress the latent-heat term reads
+        # the final state carries everything the next step needs; with the
+        # latent-heat term on, each step's slope reads that step's own stress
         props = WireProperties(latent_heat=15e3)
         rng = np.random.default_rng(3)
         n = 200
