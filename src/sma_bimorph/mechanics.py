@@ -34,15 +34,14 @@ below the elastic ones, so the beam is always in quasi-static balance.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
 from .errors import ClearanceError, NumericError, ParameterError
 from .sma import (Environment, WireProperties, WireState, _sample_arrays, _scalar_state,
-                  _tension_from_kinematics, _wire_constants, _wire_state, _wire_step,
-                  relaxed_state)
+                  _tension_from_kinematics, _wire_state, _wire_stepper, relaxed_state)
 
 
 @dataclass(frozen=True)
@@ -107,32 +106,36 @@ class DisplacementTrace:
 # ---------------------------------------------------------------------------
 # equilibrium
 
-def _equilibrium(xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l):
-    """Closed-form torque balance; torque_gain = r_m * cross_section.
+def _balance(geom: ActuatorGeometry, props: WireProperties):
+    """The closed-form torque balance of wires props in geometry geom.
 
-    Returns (theta, sigma_top, sigma_bottom, residual).  The clamp in
-    _tension_from_kinematics only guards rounding: both wires are taut.
+    Returns balance(xi_t, xi_b) -> (theta, sigma_top, sigma_bottom,
+    residual), solved for the martensite fractions of the top and bottom
+    wire (see the module docstring).  The clamp in _tension_from_kinematics
+    only guards rounding: both wires are taut.
     """
-    e_top = e_a + xi_t * (e_m - e_a)
-    e_bot = e_a + xi_b * (e_m - e_a)
-    theta = (torque_gain * (e_top * (eps_assembly - eps_l * xi_t)
-                            - e_bot * (eps_assembly - eps_l * xi_b))
-             / (torque_gain * gamma * (e_top + e_bot) + k_beam))
-    s_top = _tension_from_kinematics(eps_assembly - gamma * theta, xi_t, e_a, e_m, eps_l)
-    s_bot = _tension_from_kinematics(eps_assembly + gamma * theta, xi_b, e_a, e_m, eps_l)
-    return theta, s_top, s_bot, torque_gain * (s_top - s_bot) - k_beam * theta
+    eps_assembly = props.eps_l + props.pre_strain
+    gamma = geom.r_m / props.active_length
+    torque_gain = geom.r_m * props.cross_section
+    k_beam, e_a, e_m, eps_l = geom.k_beam, props.e_a, props.e_m, props.eps_l
 
+    def balance(xi_t, xi_b):
+        e_top = e_a + xi_t * (e_m - e_a)
+        e_bot = e_a + xi_b * (e_m - e_a)
+        theta = (torque_gain * (e_top * (eps_assembly - eps_l * xi_t)
+                                - e_bot * (eps_assembly - eps_l * xi_b))
+                 / (torque_gain * gamma * (e_top + e_bot) + k_beam))
+        s_top = _tension_from_kinematics(eps_assembly - gamma * theta, xi_t, e_a, e_m, eps_l)
+        s_bot = _tension_from_kinematics(eps_assembly + gamma * theta, xi_b, e_a, e_m, eps_l)
+        return theta, s_top, s_bot, torque_gain * (s_top - s_bot) - k_beam * theta
 
-def _balance_constants(geom: ActuatorGeometry, props: WireProperties):
-    """The torque-balance constants _equilibrium takes after the two xi."""
-    return (props.eps_l + props.pre_strain, geom.r_m / props.active_length,
-            geom.r_m * props.cross_section, geom.k_beam, props.e_a, props.e_m, props.eps_l)
+    return balance
 
 
 def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
                       props: WireProperties) -> EquilibriumResult:
     """Beam rotation, tip displacement and wire stresses in torque balance."""
-    theta, s_t, s_b, resid = _equilibrium(top.xi, bottom.xi, *_balance_constants(geom, props))
+    theta, s_t, s_b, resid = _balance(geom, props)(top.xi, bottom.xi)
     return EquilibriumResult(theta=theta, delta=geom.g_tip * theta,
                              sigma_top=s_t, sigma_bottom=s_b,
                              residual=resid, iterations=1)
@@ -143,10 +146,9 @@ def relaxed_actuator(props: WireProperties, env: Environment,
     """Both wire groups martensitic at ambient, beam in torque balance."""
     wire = relaxed_state(props, env)
     eq = solve_equilibrium(wire, wire, geom, props)
-    top, bottom = (_wire_state(wire.temperature, wire.xi, wire.anchor_xi, wire.anchor_t,
-                               wire.branch, sigma, props)
-                   for sigma in (eq.sigma_top, eq.sigma_bottom))
-    return ActuatorState(top=top, bottom=bottom, theta=eq.theta, delta=eq.delta)
+    return ActuatorState(top=replace(wire, sigma=eq.sigma_top),
+                         bottom=replace(wire, sigma=eq.sigma_bottom),
+                         theta=eq.theta, delta=eq.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -213,33 +215,32 @@ def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
 def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
                    geom: ActuatorGeometry, dt: float,
                    initial: ActuatorState | None = None) -> DisplacementTrace:
-    """Run the coupled model over per-sample current arrays.
+    """Run the coupled model over per-sample current arrays from initial.
 
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
-    is applied: each wire takes one _wire_step at its current, read as a
-    Python float, and at the stress of the previous equilibrium, held over
-    the step; then the torque balance is solved for the new xi pair.  The
-    trace starts at theta = 0.  Raises NumericError at the first sample
+    is applied: each wire takes one step of _wire_stepper at its current,
+    read as a Python float, and at the stress of the previous balance, held
+    over the step; then _balance solves the torque balance for the new xi
+    pair.  Sample 0 is initial itself, theta included, so a drive split at
+    any sample and continued from the first part's final_state gives the
+    unsplit trace bit for bit.  Raises NumericError at the first sample
     whose temperature is non-finite.
     """
     i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
         initial = relaxed_actuator(props, env, geom)
+    step = _wire_stepper(props, env, dt)
+    balance = _balance(geom, props)
     temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t = _scalar_state(initial.top)
     temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b = _scalar_state(initial.bottom)
     sigma_t, sigma_b = initial.top.sigma, initial.bottom.sigma
-    (resistance, h_area, heat_cap, latent_cap, t_amb,
-     m_f, m_s, a_s, a_f, c_m, c_a) = _wire_constants(props, env)
-    eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l = _balance_constants(geom, props)
-    g_tip = geom.g_tip
 
     size = i_t.size
-    (out_delta, out_theta, out_temp_t, out_temp_b,
-     out_xi_t, out_xi_b, out_sig_t, out_sig_b) = (np.empty(size) for _ in range(8))
-    theta = 0.0
+    (out_theta, out_temp_t, out_temp_b,
+     out_xi_t, out_xi_b, out_sig_t, out_sig_b) = (np.empty(size) for _ in range(7))
+    theta = initial.theta
     max_resid = 0.0
     for n in range(size):
-        out_delta[n] = g_tip * theta
         out_theta[n] = theta
         out_temp_t[n] = temp_t
         out_temp_b[n] = temp_b
@@ -248,32 +249,27 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
         out_sig_t[n] = sigma_t
         out_sig_b[n] = sigma_b
 
-        temp_t, xi_t, anc_xi_t, anc_t_t, br_t = _wire_step(
-            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, float(i_t[n]), sigma_t,
-            dt, resistance, h_area, heat_cap, latent_cap, t_amb,
-            m_f, m_s, a_s, a_f, c_m, c_a)
-        temp_b, xi_b, anc_xi_b, anc_t_b, br_b = _wire_step(
-            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, float(i_b[n]), sigma_b,
-            dt, resistance, h_area, heat_cap, latent_cap, t_amb,
-            m_f, m_s, a_s, a_f, c_m, c_a)
+        temp_t, xi_t, anc_xi_t, anc_t_t, br_t = step(
+            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, float(i_t[n]), sigma_t)
+        temp_b, xi_b, anc_xi_b, anc_t_b, br_b = step(
+            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, float(i_b[n]), sigma_b)
         if not (math.isfinite(temp_t) and math.isfinite(temp_b)):
             raise NumericError(f"state became non-finite at sample {n}")
         prev_t = temp_t
         prev_b = temp_b
 
-        theta, sigma_t, sigma_b, resid = _equilibrium(
-            xi_t, xi_b, eps_assembly, gamma, torque_gain, k_beam, e_a, e_m, eps_l)
+        theta, sigma_t, sigma_b, resid = balance(xi_t, xi_b)
         if abs(resid) > max_resid:
             max_resid = abs(resid)
 
     final = ActuatorState(
-        top=_wire_state(temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t, props),
-        bottom=_wire_state(temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b, props),
-        theta=theta, delta=g_tip * theta)
+        top=_wire_state(temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t),
+        bottom=_wire_state(temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b),
+        theta=theta, delta=geom.g_tip * theta)
     return DisplacementTrace(
-        t=np.arange(size, dtype=np.float64) * dt, delta=out_delta, theta=out_theta,
-        temp_top=out_temp_t, temp_bottom=out_temp_b, xi_top=out_xi_t, xi_bottom=out_xi_b,
-        sigma_top=out_sig_t, sigma_bottom=out_sig_b,
+        t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,
+        theta=out_theta, temp_top=out_temp_t, temp_bottom=out_temp_b,
+        xi_top=out_xi_t, xi_bottom=out_xi_b, sigma_top=out_sig_t, sigma_bottom=out_sig_b,
         max_residual=max_resid, final_state=final)
 
 

@@ -146,7 +146,6 @@ class WireState:
     temperature: float     # K
     xi: float              # martensite fraction
     sigma: float = 0.0     # Pa, tensile
-    strain: float = 0.0
     anchor_xi: float = 1.0
     anchor_t: float = 293.15
     branch: int = BRANCH_NONE
@@ -157,15 +156,12 @@ class WireState:
             raise ParameterError(f"xi must be in [0, 1], got {self.xi}")
         if self.sigma < 0.0:
             raise ParameterError(f"sigma must be >= 0 (wires cannot push), got {self.sigma}")
-        if self.strain < 0.0:
-            raise ParameterError(f"strain must be >= 0, got {self.strain}")
 
 
 def relaxed_state(props: WireProperties, env: Environment) -> WireState:
     """Fully martensitic wire at ambient temperature, no stress history."""
-    return WireState(temperature=env.t_amb, xi=1.0, sigma=0.0,
-                     strain=props.eps_l, anchor_xi=1.0, anchor_t=env.t_amb,
-                     branch=BRANCH_NONE, t_prev=env.t_amb)
+    return WireState(temperature=env.t_amb, xi=1.0, sigma=0.0, anchor_xi=1.0,
+                     anchor_t=env.t_amb, branch=BRANCH_NONE, t_prev=env.t_amb)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +185,15 @@ def _cooling_shape(temp, m_f_eff, m_s_eff):
     return 0.5 * (math.cos(math.pi * (temp - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0)
 
 
-def _phase_step(xi, temp, t_prev, sigma, anchor_xi, anchor_t, branch,
-                m_f, m_s, a_s, a_f, c_m, c_a):
-    """Advance the hysteresis state machine to temperature `temp`.
+def _phase_step(xi, temp, t_prev, anchor_xi, anchor_t, branch,
+                m_f_eff, m_s_eff, a_s_eff, a_f_eff):
+    """Advance the hysteresis state machine from t_prev to temperature `temp`.
 
-    Minor loops are proportionally rescaled copies of the major branch
-    through the reversal anchor, which keeps any partial cycle inside the
-    major loop envelope. Returns (xi, anchor_xi, anchor_t, branch).
+    m_f_eff ... a_f_eff is the stress-shifted band, in the order of
+    transformation_temperatures.  Minor loops are proportionally rescaled
+    copies of the major branch through the reversal anchor, which keeps any
+    partial cycle inside the major loop envelope.  Returns (xi, anchor_xi,
+    anchor_t, branch).
     """
     d_t = temp - t_prev
     if d_t > 0.0:
@@ -204,11 +202,6 @@ def _phase_step(xi, temp, t_prev, sigma, anchor_xi, anchor_t, branch,
         direction = BRANCH_COOLING
     else:
         direction = branch
-
-    a_s_eff = a_s + sigma / c_a
-    a_f_eff = a_f + sigma / c_a
-    m_s_eff = m_s + sigma / c_m
-    m_f_eff = m_f + sigma / c_m
 
     new_xi = xi
     if direction == BRANCH_HEATING:
@@ -248,13 +241,8 @@ def _phase_step(xi, temp, t_prev, sigma, anchor_xi, anchor_t, branch,
     return new_xi, anchor_xi, anchor_t, branch
 
 
-def _phase_slope(xi, temp, sigma, anchor_xi, anchor_t, branch,
-                 m_f, m_s, a_s, a_f, c_m, c_a):
-    """|dxi/dT| of the active branch, for the latent-heat correction."""
-    a_s_eff = a_s + sigma / c_a
-    a_f_eff = a_f + sigma / c_a
-    m_s_eff = m_s + sigma / c_m
-    m_f_eff = m_f + sigma / c_m
+def _phase_slope(temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff, a_f_eff):
+    """|dxi/dT| of the active branch in the shifted band, for the latent-heat correction."""
     if branch == BRANCH_HEATING and a_s_eff < temp < a_f_eff:
         denom = _heating_shape(anchor_t, a_s_eff, a_f_eff)
         if denom > 1e-12:
@@ -277,36 +265,48 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     return s if s > 0.0 else 0.0
 
 
-def _wire_step(temp, t_prev, xi, anchor_xi, anchor_t, branch, current, sigma,
-               dt, resistance, h_area, heat_cap, latent_cap, t_amb,
-               m_f, m_s, a_s, a_f, c_m, c_a):
-    """Advance one wire group by dt: RK4 heat balance, then the phase step.
+def _wire_stepper(props: WireProperties, env: Environment, dt: float):
+    """The one-step wire update of props in env at time step dt.
 
+    Returns step(temp, t_prev, xi, anchor_xi, anchor_t, branch, current,
+    sigma) -> (temperature, xi, anchor_xi, anchor_t, branch): an RK4 heat
+    balance over dt, then the phase step from t_prev to the new temperature.
     current and sigma are held over the step, and the latent-heat slope and
-    the kinetics read that one stress.  Both are Python floats, since NumPy
-    scalars would make the rest of the step slower NumPy-scalar arithmetic.
-    latent_cap is mass * latent_heat (J per unit xi): the transformation
-    slope at the step start augments the heat capacity.  Returns
-    (temperature, xi, anchor_xi, anchor_t, branch).
+    the kinetics read the one band that sigma shifts.  Pass Python floats,
+    since NumPy scalars would make the rest of the step slower NumPy-scalar
+    arithmetic.  The latent heat, mass * latent_heat J per unit xi, adds the
+    transformation slope at the step start to the heat capacity.
     """
-    cap = heat_cap
-    if latent_cap > 0.0:
-        cap = heat_cap + latent_cap * _phase_slope(xi, temp, sigma, anchor_xi,
-                                                   anchor_t, branch,
-                                                   m_f, m_s, a_s, a_f, c_m, c_a)
-    q = current * current * resistance
-    k1 = (q - h_area * (temp - t_amb)) / cap
-    t2 = temp + 0.5 * dt * k1
-    k2 = (q - h_area * (t2 - t_amb)) / cap
-    t3 = temp + 0.5 * dt * k2
-    k3 = (q - h_area * (t3 - t_amb)) / cap
-    t4 = temp + dt * k3
-    k4 = (q - h_area * (t4 - t_amb)) / cap
-    new_temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    xi, anchor_xi, anchor_t, branch = _phase_step(
-        xi, new_temp, t_prev, sigma, anchor_xi, anchor_t, branch,
-        m_f, m_s, a_s, a_f, c_m, c_a)
-    return new_temp, xi, anchor_xi, anchor_t, branch
+    resistance = props.resistance
+    h_area = props.h * env.convection_multiplier * props.lateral_area
+    heat_cap = props.heat_capacity
+    latent_cap = props.mass * props.latent_heat
+    t_amb = env.t_amb
+    m_f, m_s, a_s, a_f, c_m, c_a = props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a
+
+    def step(temp, t_prev, xi, anchor_xi, anchor_t, branch, current, sigma):
+        m_f_eff = m_f + sigma / c_m
+        m_s_eff = m_s + sigma / c_m
+        a_s_eff = a_s + sigma / c_a
+        a_f_eff = a_f + sigma / c_a
+        cap = heat_cap
+        if latent_cap > 0.0:
+            cap = heat_cap + latent_cap * _phase_slope(temp, anchor_xi, anchor_t, branch,
+                                                       m_f_eff, m_s_eff, a_s_eff, a_f_eff)
+        q = current * current * resistance
+        k1 = (q - h_area * (temp - t_amb)) / cap
+        t2 = temp + 0.5 * dt * k1
+        k2 = (q - h_area * (t2 - t_amb)) / cap
+        t3 = temp + 0.5 * dt * k2
+        k3 = (q - h_area * (t3 - t_amb)) / cap
+        t4 = temp + dt * k3
+        k4 = (q - h_area * (t4 - t_amb)) / cap
+        new_temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        xi, anchor_xi, anchor_t, branch = _phase_step(
+            xi, new_temp, t_prev, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff, a_f_eff)
+        return new_temp, xi, anchor_xi, anchor_t, branch
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +338,10 @@ def _scalar_state(state: WireState):
             state.t_prev)
 
 
-def _wire_constants(props: WireProperties, env: Environment):
-    """The wire constants _wire_step takes after dt, in its argument order."""
-    return (props.resistance, props.h * env.convection_multiplier * props.lateral_area,
-            props.heat_capacity, props.mass * props.latent_heat, env.t_amb,
-            props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a)
-
-
-def _wire_state(temp, xi, anchor_xi, anchor_t, branch, sigma, props) -> WireState:
-    """WireState of the kernels' scalar state under tension sigma."""
-    return WireState(temperature=temp, xi=xi, sigma=sigma,
-                     strain=wire_strain(xi, sigma, props), anchor_xi=anchor_xi,
-                     anchor_t=anchor_t, branch=int(branch), t_prev=temp)
+def _wire_state(temp, xi, anchor_xi, anchor_t, branch, sigma) -> WireState:
+    """WireState of a stepping loop's scalar state under tension sigma."""
+    return WireState(temperature=temp, xi=xi, sigma=sigma, anchor_xi=anchor_xi,
+                     anchor_t=anchor_t, branch=branch, t_prev=temp)
 
 
 def transformation_temperatures(props: WireProperties, sigma: float):
@@ -363,7 +355,7 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     """Drive one wire group with per-sample current and applied stress.
 
     currents and sigmas are same-length sample arrays, read as Python floats
-    and each held over its step (see _wire_step), as each wire of
+    and each held over its step (see _wire_stepper), as each wire of
     mechanics.simulate_drive is stepped.  Returns (temperature trace, xi
     trace, final WireState), the traces holding the state after each step.
     """
@@ -372,21 +364,17 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
         raise ParameterError(f"sigmas must be >= 0 (wires cannot push), got {sigmas.min()}")
     if state is None:
         state = relaxed_state(props, env)
+    step = _wire_stepper(props, env, dt)
     temp, xi, anchor_xi, anchor_t, branch, t_prev = _scalar_state(state)
-    (resistance, h_area, heat_cap, latent_cap, t_amb,
-     m_f, m_s, a_s, a_f, c_m, c_a) = _wire_constants(props, env)
     out_temp = np.empty_like(currents)
     out_xi = np.empty_like(currents)
     for n in range(currents.size):
-        temp, xi, anchor_xi, anchor_t, branch = _wire_step(
-            temp, t_prev, xi, anchor_xi, anchor_t, branch, float(currents[n]),
-            float(sigmas[n]), dt, resistance, h_area, heat_cap, latent_cap, t_amb,
-            m_f, m_s, a_s, a_f, c_m, c_a)
+        temp, xi, anchor_xi, anchor_t, branch = step(
+            temp, t_prev, xi, anchor_xi, anchor_t, branch, float(currents[n]), float(sigmas[n]))
         t_prev = temp
         out_temp[n] = temp
         out_xi[n] = xi
     if not math.isfinite(temp):
         raise NumericError(f"temperature became non-finite: {temp}")
     final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma
-    return out_temp, out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch,
-                                         final_sigma, props)
+    return out_temp, out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch, final_sigma)

@@ -152,11 +152,36 @@ class TestStepActuator:
         drive = make_pwm_pair(PwmConfig(frequency=5.0, duty_cycle=0.10), circuit, 1.0)
         final = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0).final_state
         for wire in (final.top, final.bottom):
-            for name in ("temperature", "xi", "sigma", "strain", "anchor_xi", "anchor_t",
-                         "t_prev"):
+            for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t", "t_prev"):
                 assert type(getattr(wire, name)) is float, name
         assert type(final.theta) is float
         assert type(final.delta) is float
+
+    @pytest.mark.parametrize("latent_heat", [0.0, 20e3], ids=["dry", "latent"])
+    @pytest.mark.parametrize("frequency, duty, mode, split", [
+        (1.0, 0.10, "bimorph", 1234), (15.0, 0.10, "bimorph", 4000),
+        (2.0, 0.40, "unimorph-up", 2200),
+    ], ids=["1hz-bimorph", "15hz-bimorph", "2hz-unimorph-up"])
+    def test_split_trace_continues_bit_for_bit(self, props, env, geom, circuit,
+                                               frequency, duty, mode, split, latent_heat):
+        # a drive cut at one sample and continued from the first part's
+        # final_state joins into the unsplit trace, theta and delta included
+        props = replace(props, latent_heat=latent_heat)
+        drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode),
+                              circuit, 4.0)
+        initial = relaxed_actuator(props, env, geom)
+        whole = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
+                               initial=initial)
+        head = simulate_drive(drive.i_t[:split], drive.i_b[:split], props, env, geom,
+                              1 / 2000.0, initial=initial)
+        tail = simulate_drive(drive.i_t[split:], drive.i_b[split:], props, env, geom,
+                              1 / 2000.0, initial=head.final_state)
+        for name in ("delta", "theta", "temp_top", "temp_bottom", "xi_top", "xi_bottom",
+                     "sigma_top", "sigma_bottom"):
+            joined = np.concatenate((getattr(head, name), getattr(tail, name)))
+            assert np.array_equal(joined, getattr(whole, name)), name
+        assert tail.final_state == whole.final_state
+        assert max(head.max_residual, tail.max_residual) == whole.max_residual
 
     def test_mirror_symmetry_bitwise(self, props, env, geom, circuit):
         cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)

@@ -22,9 +22,8 @@ def hold_current(state, current, n, props, env, dt):
 def update_phase(state, props):
     """The phase kernel applied at the state's temperature; returns the new state."""
     xi, anchor_xi, anchor_t, branch = _phase_step(
-        state.xi, state.temperature, state.t_prev, state.sigma,
-        state.anchor_xi, state.anchor_t, state.branch,
-        props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a)
+        state.xi, state.temperature, state.t_prev, state.anchor_xi, state.anchor_t,
+        state.branch, *transformation_temperatures(props, state.sigma))
     return replace(state, xi=xi, anchor_xi=anchor_xi, anchor_t=anchor_t,
                    branch=branch, t_prev=state.temperature)
 
@@ -114,16 +113,14 @@ class TestPhaseKinetics:
     def test_half_cosine_midpoint(self, props, env):
         # heating from a full-martensite anchor below the band
         mid = (props.a_s + props.a_f) / 2.0
-        state = WireState(temperature=mid, xi=1.0, sigma=0.0, strain=props.eps_l,
-                          anchor_xi=1.0, anchor_t=300.0, branch=BRANCH_HEATING,
-                          t_prev=mid - 1.0)
+        state = WireState(temperature=mid, xi=1.0, sigma=0.0, anchor_xi=1.0,
+                          anchor_t=300.0, branch=BRANCH_HEATING, t_prev=mid - 1.0)
         assert update_phase(state, props).xi == pytest.approx(0.5, abs=1e-12)
 
     def test_stress_shift_delays_heating_transformation(self, props, env):
         mid = (props.a_s + props.a_f) / 2.0
-        base = WireState(temperature=mid, xi=1.0, strain=props.eps_l,
-                         anchor_xi=1.0, anchor_t=300.0, branch=BRANCH_HEATING,
-                         t_prev=mid - 1.0)
+        base = WireState(temperature=mid, xi=1.0, anchor_xi=1.0, anchor_t=300.0,
+                         branch=BRANCH_HEATING, t_prev=mid - 1.0)
         loaded = replace(base, sigma=200e6)
         assert update_phase(loaded, props).xi > update_phase(base, props).xi
 
@@ -173,7 +170,6 @@ class TestStepWire:
         _, _, out = simulate_wire(np.zeros(1), np.zeros(1), props, env, 5e-4, state=state)
         assert out.temperature == state.temperature
         assert out.xi == state.xi == 1.0
-        assert out.strain == state.strain
 
     def _square_wave(self, frequency, duty, duration, dt, i_on=0.25):
         n = int(round(duration / dt))
@@ -296,8 +292,7 @@ class TestVectorScalarConsistency:
         currents = rng.uniform(0.0, 0.25, 400)
         sigmas = rng.uniform(0.0, 300e6, 400)
         final = simulate_wire(currents, sigmas, props, env, 5e-4)[2]
-        for name in ("temperature", "xi", "sigma", "strain", "anchor_xi", "anchor_t",
-                     "t_prev"):
+        for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t", "t_prev"):
             assert type(getattr(final, name)) is float, name
 
 
