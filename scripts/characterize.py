@@ -40,9 +40,10 @@ def main():
     for f in freqs:
         print(f"{f:5.0f}   {table.av_max[f]:17.3f}   {MEASURED_AV_MAX[f]:17.3f}")
 
-    rows = [(r.frequency, r.duty_cycle * 100, r.amado, r.std, r.normalized)
-            for r in table.rows]
-    path = write_csv(args.out / "characterization_sweep.csv", SWEEP_SCHEMA, rows)
+    rows = table.rows
+    columns = ([r.frequency for r in rows], [r.duty_cycle * 100 for r in rows],
+               [r.amado for r in rows], [r.std for r in rows], [r.normalized for r in rows])
+    path = write_csv(args.out / "characterization_sweep.csv", SWEEP_SCHEMA, columns)
     print(f"\nwrote {path}")
 
 

@@ -34,8 +34,8 @@ def main():
     print(f"average p_a = {power.p_bar * 1e3:8.3f} mW")
     print(f"closed form = {closed_form * 1e3:8.3f} mW  ((DC_t + DC_b) i^2 r_a)")
 
-    rows = zip(trace.t, trace.v_t, trace.v_b, trace.i_t, trace.i_b, power.p_a)
-    path = write_csv(args.out / "power_trace.csv", POWER_SCHEMA, rows)
+    columns = (trace.t, trace.v_t, trace.v_b, trace.i_t, trace.i_b, power.p_a)
+    path = write_csv(args.out / "power_trace.csv", POWER_SCHEMA, columns)
     print(f"wrote {path}")
 
 

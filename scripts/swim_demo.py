@@ -38,13 +38,13 @@ def main():
           f"fitted thrust coeff: {swimmer.thrust_coeff:.3e}")
 
     print("\nf [Hz]   v [mm/s]   Bl/s     Re")
-    scan_rows = []
-    for f in cfg.swim_scan_frequencies:
+    frequencies, speeds = list(cfg.swim_scan_frequencies), []
+    for f in frequencies:
         v = steady_speed(f, amp, swimmer)
-        scan_rows.append((f, v * 1e3))
+        speeds.append(v * 1e3)
         print(f"{f:5.0f}   {v * 1e3:8.3f}   {body_lengths_per_second(v, swimmer.body_length):6.3f}"
               f"   {reynolds(v, swimmer.body_length, swimmer.nu):6.1f}")
-    path = write_csv(args.out / "speed_scan.csv", SPEED_SCAN_SCHEMA, scan_rows)
+    path = write_csv(args.out / "speed_scan.csv", SPEED_SCAN_SCHEMA, (frequencies, speeds))
     print(f"wrote {path}")
 
     # the soft tail passes only the fundamental of the actuator motion
@@ -52,9 +52,10 @@ def main():
     t = np.arange(int(cfg.run_length / dt)) * dt
     tail = amp * np.sin(2 * math.pi * f_drive * t)
     history = run_swimmer(tail, swimmer, dt)[1:]
-    rows = ((tk, s.x * 1e3, s.y * 1e3, math.degrees(s.psi), s.v * 1e3)
-            for tk, s in zip(t, history))
-    path = write_csv(args.out / "trajectory.csv", TRAJECTORY_SCHEMA, rows)
+    x, y, psi, v = (np.fromiter((getattr(s, field) for s in history), np.float64,
+                                count=len(history)) for field in ("x", "y", "psi", "v"))
+    columns = (t, x * 1e3, y * 1e3, np.degrees(psi), v * 1e3)
+    path = write_csv(args.out / "trajectory.csv", TRAJECTORY_SCHEMA, columns)
     final = history[-1]
     print(f"{cfg.run_length:g} s trajectory: x = {final.x * 1e3:.1f} mm, heading drift = "
           f"{math.degrees(final.psi):.2f} deg")

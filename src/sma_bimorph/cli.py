@@ -36,8 +36,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = run_mode_trace(cfg.pwm, cfg.circuit, cfg.props, cfg.env, cfg.geom,
                            cfg.duration)
     filtered = filter_zero_phase(design_fir(cfg.fir), trace.delta)
-    rows = zip(trace.t, trace.delta * 1e3, filtered * 1e3)
-    return [write_csv(out_dir / f"{cfg.scenario}_trace.csv", TRACE_SCHEMA, rows)]
+    columns = (trace.t, trace.delta * 1e3, filtered * 1e3)
+    return [write_csv(out_dir / f"{cfg.scenario}_trace.csv", TRACE_SCHEMA, columns)]
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -50,15 +50,16 @@ def cmd_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         print(f"sweep cell (f={f:g} Hz, DC={dc:g}) failed: {message}", file=sys.stderr)
         rows.append((f, dc * 100.0, math.nan, math.nan, math.nan))
     rows.sort(key=lambda row: (row[0], row[1]))
-    return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA, rows)]
+    columns = [[row[k] for row in rows] for k in range(len(SWEEP_SCHEMA.columns))]
+    return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA, columns)]
 
 
 def cmd_power(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = make_pwm_pair(cfg.pwm, cfg.circuit, cfg.duration)
     power = average_power(trace, cfg.circuit)
     print(f"peak p_a = {power.p_a.max():.6f} W, average p_a = {power.p_bar:.6f} W")
-    rows = zip(trace.t, trace.v_t, trace.v_b, trace.i_t, trace.i_b, power.p_a)
-    return [write_csv(out_dir / f"{cfg.scenario}_power.csv", POWER_SCHEMA, rows)]
+    columns = (trace.t, trace.v_t, trace.v_b, trace.i_t, trace.i_b, power.p_a)
+    return [write_csv(out_dir / f"{cfg.scenario}_power.csv", POWER_SCHEMA, columns)]
 
 
 def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -96,19 +97,20 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     t = np.arange(n) * dt
     tail = amp * np.sin(2.0 * np.pi * cfg.swim_drive_frequency * t)
     history = swim_mod.run_swimmer(tail, cfg.swimmer, dt)[1:]
-    rows = ((k * dt, st.x * 1e3, st.y * 1e3, math.degrees(st.psi), st.v * 1e3)
-            for k, st in enumerate(history))
-    paths = [write_csv(out_dir / f"{cfg.scenario}_trajectory.csv", TRAJECTORY_SCHEMA, rows)]
+    x, y, psi, v = (np.fromiter((getattr(st, field) for st in history), np.float64,
+                                count=len(history)) for field in ("x", "y", "psi", "v"))
+    del history   # free the state objects before the CSV text is built: lower peak memory
+    columns = (t, x * 1e3, y * 1e3, np.degrees(psi), v * 1e3)
+    paths = [write_csv(out_dir / f"{cfg.scenario}_trajectory.csv", TRAJECTORY_SCHEMA,
+                       columns)]
 
     # scan at the fixed trajectory amplitude: the measured best operating
     # band (3 to 4 Hz) is compared at one tail stroke, and the quadratic
     # thrust law then gives speed rising with frequency
-    scan_rows = []
-    for f in cfg.swim_scan_frequencies:
-        v = swim_mod.steady_speed(f, amp, cfg.swimmer)
-        scan_rows.append((f, v * 1e3))
+    frequencies = list(cfg.swim_scan_frequencies)
+    speeds = [swim_mod.steady_speed(f, amp, cfg.swimmer) * 1e3 for f in frequencies]
     paths.append(write_csv(out_dir / f"{cfg.scenario}_speed_scan.csv",
-                           SPEED_SCAN_SCHEMA, scan_rows))
+                           SPEED_SCAN_SCHEMA, (frequencies, speeds)))
     return paths
 
 

@@ -5,10 +5,16 @@ fixed column order, '\n' newlines, UTF-8, shortest round-trip decimal
 formatting (repr) for floats, no trailing whitespace.
 """
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParameterError
+
+# rows formatted and written per pass; bounds the text held in memory
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -36,17 +42,57 @@ def format_value(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path, schema: CsvSchema, rows) -> Path:
-    """Write rows (iterables matching schema.columns) under the fixed header."""
-    path = Path(path)
-    lines = [schema.header]
-    for i, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != len(schema.columns):
+def _checked_column(schema: CsvSchema, name: str, column):
+    """column as a 1-D float64 ndarray or as a list of real numbers."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64:
+        return column
+    values = list(column)
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ParameterError(
-                f"row {i} has {len(row)} values for schema {schema.name!r} "
-                f"with columns {schema.columns}")
-        lines.append(",".join(format_value(v) for v in row))
+                f"column {name!r} of schema {schema.name!r} holds {value!r} at row {i}; "
+                f"only real numbers (not booleans) have a CSV representation here")
+    return values
+
+
+def _format_chunk(chunk) -> list:
+    """Text of each value in one chunk of a checked column."""
+    if not isinstance(chunk, np.ndarray):
+        return list(map(format_value, chunk))
+    # each distinct bit pattern is formatted once, so -0.0 and 0.0 (and
+    # every NaN payload) keep their own text
+    distinct, index = np.unique(chunk.view(np.uint64), return_inverse=True)
+    if len(distinct) == len(chunk):
+        return list(map(repr, chunk.tolist()))
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, index.tolist()))
+
+
+def write_csv(path, schema: CsvSchema, columns) -> Path:
+    """Write one sequence per schema column under the fixed header.
+
+    Float64 ndarray columns are formatted in bulk; any other column goes
+    through format_value value by value.  Every column is checked before
+    the file is opened, so a rejected call leaves no file behind.
+    """
+    path = Path(path)
+    columns = list(columns)
+    if len(columns) != len(schema.columns):
+        raise ParameterError(
+            f"{len(columns)} columns given for schema {schema.name!r} "
+            f"with columns {schema.columns}")
+    columns = [_checked_column(schema, name, column)
+               for name, column in zip(schema.columns, columns)]
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ParameterError(
+            f"columns of schema {schema.name!r} differ in length: "
+            f"{dict(zip(schema.columns, map(len, columns)))}")
+    n_rows = lengths.pop()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(schema.header + "\n")
+        for start in range(0, n_rows, CHUNK_ROWS):
+            texts = [_format_chunk(column[start:start + CHUNK_ROWS]) for column in columns]
+            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
     return path

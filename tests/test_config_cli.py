@@ -1,12 +1,14 @@
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sma_bimorph import parse_config
+from sma_bimorph import cli, parse_config
 from sma_bimorph.cli import run_scenario
+from sma_bimorph.csvio import write_csv
 from sma_bimorph.errors import ConfigError
 
 
@@ -129,6 +131,30 @@ class TestRunScenario:
         cfg = parse_config("drive:\n  duration_s: 4\n")
         path = run_scenario(cfg, "simulate", out_dir=tmp_path)[0]
         assert path.read_text().splitlines()[0] == "t_s,delta_mm,delta_filt_mm"
+
+    @pytest.mark.parametrize("command", ["simulate", "power", "swim"])
+    def test_every_csv_field_is_the_repr_of_the_computed_value(self, tmp_path, monkeypatch,
+                                                               command):
+        # record the columns each command hands the writer, then read every
+        # field back: a drift in the formatter shows without golden digests
+        handed = {}
+
+        def recording(path, schema, columns):
+            handed[Path(path).name] = (schema, [np.array(c, dtype=np.float64) for c in columns])
+            return write_csv(path, schema, columns)
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        cfg = parse_config("drive:\n  duration_s: 2\n"
+                           "metrology:\n  run_s: 4\n  steady_window_s: 3\n")
+        paths = run_scenario(cfg, command, out_dir=tmp_path)
+        assert sorted(p.name for p in paths) == sorted(handed)
+        for path in paths:
+            schema, columns = handed[path.name]
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == schema.header
+            assert len(lines) - 1 == len(columns[0]) > 0
+            for n, line in enumerate(lines[1:]):
+                assert line.split(",") == [repr(float(c[n])) for c in columns], (path.name, n)
 
     def test_unknown_command_rejected(self, tmp_path):
         cfg = parse_config("")
@@ -282,7 +308,6 @@ class TestConfigReach:
 
 def test_shipped_example_config_matches_defaults():
     # the annotated example spells out every default explicitly
-    from pathlib import Path
     text = (Path(__file__).parent.parent / "configs" / "characterization.yaml").read_text()
     explicit = parse_config(text)
     defaults = parse_config("")
