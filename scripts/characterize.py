@@ -10,6 +10,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sma_bimorph import calibrate, parse_config, run_sweep
+from sma_bimorph.cli import sweep_columns
 from sma_bimorph.csvio import SWEEP_SCHEMA, write_csv
 
 MEASURED_AV_MAX = {1.0: 7.08, 5.0: 1.83, 10.0: 0.56, 15.0: 0.28, 20.0: 0.006}
@@ -40,10 +41,8 @@ def main():
     for f in freqs:
         print(f"{f:5.0f}   {table.av_max[f]:17.3f}   {MEASURED_AV_MAX[f]:17.3f}")
 
-    rows = table.rows
-    columns = ([r.frequency for r in rows], [r.duty_cycle * 100 for r in rows],
-               [r.amado for r in rows], [r.std for r in rows], [r.normalized for r in rows])
-    path = write_csv(args.out / "characterization_sweep.csv", SWEEP_SCHEMA, columns)
+    path = write_csv(args.out / "characterization_sweep.csv", SWEEP_SCHEMA,
+                     sweep_columns(table))
     print(f"\nwrote {path}")
 
 

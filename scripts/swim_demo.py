@@ -51,12 +51,11 @@ def main():
     dt = 1.0 / cfg.pwm.sample_rate
     t = np.arange(int(cfg.run_length / dt)) * dt
     tail = amp * np.sin(2 * math.pi * f_drive * t)
-    history = run_swimmer(tail, swimmer, dt)[1:]
-    x, y, psi, v = (np.fromiter((getattr(s, field) for s in history), np.float64,
-                                count=len(history)) for field in ("x", "y", "psi", "v"))
-    columns = (t, x * 1e3, y * 1e3, np.degrees(psi), v * 1e3)
+    track = run_swimmer(tail, swimmer, dt)
+    columns = (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
+               track.v[1:] * 1e3)
     path = write_csv(args.out / "trajectory.csv", TRAJECTORY_SCHEMA, columns)
-    final = history[-1]
+    final = track[-1]
     print(f"{cfg.run_length:g} s trajectory: x = {final.x * 1e3:.1f} mm, heading drift = "
           f"{math.degrees(final.psi):.2f} deg")
     print(f"wrote {path}")

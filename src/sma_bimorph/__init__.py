@@ -13,9 +13,8 @@ from .metrology import (AmadoResult, FirSpec, SweepTable, compute_amado, design_
                         filter_zero_phase, measure_amado, run_sweep)
 from .sma import (Environment, WireProperties, WireState, relaxed_state, simulate_wire,
                   transformation_temperatures, wire_strain)
-from .swimmer import (SwimmerParams, SwimmerState, body_lengths_per_second,
-                      fit_thrust_coefficient, reynolds, run_swimmer, steady_speed,
-                      step_swimmer)
+from .swimmer import (SwimmerParams, body_lengths_per_second, fit_thrust_coefficient,
+                      reynolds, run_swimmer, steady_speed)
 
 __version__ = "0.1.0"
 
@@ -23,11 +22,11 @@ __all__ = [
     "ActuatorGeometry", "ActuatorState", "AmadoResult", "CalibrationProblem",
     "CalibrationResult", "CircuitParams", "DisplacementTrace", "DriveTrace",
     "Environment", "EquilibriumResult", "FirSpec", "PowerTrace", "PwmConfig",
-    "ScenarioConfig", "SweepTable", "SwimmerParams", "SwimmerState", "WireProperties",
+    "ScenarioConfig", "SweepTable", "SwimmerParams", "WireProperties",
     "WireState", "apply_parameters", "average_power", "body_lengths_per_second",
     "calibrate", "clearance_check", "compute_amado", "design_fir", "filter_zero_phase",
     "fit_thrust_coefficient", "instantaneous_power", "make_pwm_pair", "measure_amado",
     "parse_config", "relaxed_actuator", "relaxed_state", "reynolds", "run_mode_trace",
     "run_swimmer", "run_sweep", "simulate_wire", "solve_equilibrium", "steady_speed",
-    "step_swimmer", "tip_envelope", "transformation_temperatures", "wire_strain",
+    "tip_envelope", "transformation_temperatures", "wire_strain",
 ]

@@ -29,7 +29,8 @@ from .csvio import (POWER_SCHEMA, SPEED_SCAN_SCHEMA, SWEEP_SCHEMA, TRACE_SCHEMA,
 from .drive import average_power, make_pwm_pair
 from .errors import ConfigError, SimulationError
 from .mechanics import run_mode_trace
-from .metrology import design_fir, filter_zero_phase, measure_amado, run_sweep
+from .metrology import (SweepTable, design_fir, filter_zero_phase, measure_amado,
+                        run_sweep)
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -44,14 +45,20 @@ def cmd_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     table = run_sweep(cfg.sweep_frequencies, cfg.sweep_duty_cycles, cfg.circuit,
                       cfg.props, cfg.env, cfg.geom, run_length=cfg.run_length,
                       steady_window=cfg.steady_window, fir=cfg.fir, pwm=cfg.pwm)
-    rows = [(r.frequency, r.duty_cycle * 100.0, r.amado, r.std, r.normalized)
-            for r in table.rows]
     for (f, dc), message in sorted(table.errors.items()):
         print(f"sweep cell (f={f:g} Hz, DC={dc:g}) failed: {message}", file=sys.stderr)
-        rows.append((f, dc * 100.0, math.nan, math.nan, math.nan))
+    return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA,
+                      sweep_columns(table))]
+
+
+def sweep_columns(table: SweepTable) -> list:
+    """SWEEP_SCHEMA columns of a sweep table in (f, DC) order, DC in percent;
+    a failed cell is a row of NaN AMADO, std and normalized values."""
+    rows = [(r.frequency, r.duty_cycle * 100.0, r.amado, r.std, r.normalized)
+            for r in table.rows]
+    rows += [(f, dc * 100.0, math.nan, math.nan, math.nan) for f, dc in table.errors]
     rows.sort(key=lambda row: (row[0], row[1]))
-    columns = [[row[k] for row in rows] for k in range(len(SWEEP_SCHEMA.columns))]
-    return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA, columns)]
+    return [[row[k] for row in rows] for k in range(len(SWEEP_SCHEMA.columns))]
 
 
 def cmd_power(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -96,11 +103,9 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     n = int(round(cfg.steady_window * cfg.pwm.sample_rate))
     t = np.arange(n) * dt
     tail = amp * np.sin(2.0 * np.pi * cfg.swim_drive_frequency * t)
-    history = swim_mod.run_swimmer(tail, cfg.swimmer, dt)[1:]
-    x, y, psi, v = (np.fromiter((getattr(st, field) for st in history), np.float64,
-                                count=len(history)) for field in ("x", "y", "psi", "v"))
-    del history   # free the state objects before the CSV text is built: lower peak memory
-    columns = (t, x * 1e3, y * 1e3, np.degrees(psi), v * 1e3)
+    track = swim_mod.run_swimmer(tail, cfg.swimmer, dt)
+    columns = (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
+               track.v[1:] * 1e3)
     paths = [write_csv(out_dir / f"{cfg.scenario}_trajectory.csv", TRAJECTORY_SCHEMA,
                        columns)]
 

@@ -15,6 +15,8 @@ arithmetic and the monotone speed trends.
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import NumericError, ParameterError
 
 
@@ -64,15 +66,6 @@ class SwimmerParams:
             * self.yaw_ref_speed
 
 
-@dataclass(frozen=True)
-class SwimmerState:
-    x: float = 0.0           # m
-    y: float = 0.0           # m
-    psi: float = 0.0         # rad, heading
-    v: float = 0.0           # m/s, forward speed
-    tail_angle: float = 0.0  # rad
-
-
 def _drag(v, params):
     return 0.5 * params.rho * params.longitudinal_cda * v * v + params.linear_drag * v
 
@@ -103,49 +96,51 @@ def fit_thrust_coefficient(frequency: float, amplitude: float, target_speed: flo
     return replace(params, thrust_coeff=k)
 
 
-def step_swimmer(state: SwimmerState, tail_command: float, params: SwimmerParams,
-                 dt: float) -> SwimmerState:
-    """Advance the planar pose one step under a commanded tail angle.
+def run_swimmer(tail_commands, params: SwimmerParams, dt: float) -> np.recarray:
+    """Step the planar pose through a tail-angle command trace from rest.
 
-    Thrust uses the instantaneous squared tail rate (factor 2 so its mean
-    over a sinusoid matches the steady_speed form); yaw reacts to the
-    tail's lateral drag moment and to thrust-vector deflection, both odd
-    in the tail motion, damped by the head's lateral drag.
+    Returns a record array with fields x, y, psi, v, tail_angle (m, m,
+    rad, m/s, rad): row 0 is the resting start and row n the state after
+    command n - 1.  Thrust uses the instantaneous squared tail rate
+    (factor 2 so its mean over a sinusoid matches the steady_speed form);
+    yaw reacts to the tail's lateral drag moment and to thrust-vector
+    deflection, both odd in the tail motion, damped by the head's lateral
+    drag.  Raises NumericError at the first non-finite state.
     """
     if not 0.0 < dt <= 1e-3:
         raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
-    tail_rate = (tail_command - state.tail_angle) / dt
-    thrust = 2.0 * params.thrust_coeff * tail_rate * tail_rate
-    accel = (thrust - _drag(state.v, params)) / params.mass
-    v = state.v + dt * accel
-    if v < 0.0:
-        v = 0.0
-
+    commands = np.asarray(tail_commands, np.float64)
+    thrust_gain = 2.0 * params.thrust_coeff
     # lateral tail speed taken at the area centroid, half the tip lever
-    centroid = 0.5 * params.tail_lever
-    m_flap = 0.5 * params.rho * params.tail_lateral_cda * centroid ** 2 \
-        * params.tail_lever * tail_rate * abs(tail_rate)
-    m_steer = -thrust * math.sin(tail_command) * params.tail_lever
-    psi_rate = (m_flap + m_steer) / params.yaw_damping
+    flap_gain = 0.5 * params.rho * params.tail_lateral_cda \
+        * (0.5 * params.tail_lever) ** 2 * params.tail_lever
+    tail_lever, mass, yaw_damping = params.tail_lever, params.mass, params.yaw_damping
 
-    psi = state.psi + dt * psi_rate
-    x = state.x + dt * v * math.cos(state.psi)
-    y = state.y + dt * v * math.sin(state.psi)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi) and math.isfinite(v)):
-        raise NumericError("swimmer state became non-finite")
-    return SwimmerState(x=x, y=y, psi=psi, v=v, tail_angle=tail_command)
-
-
-def run_swimmer(tail_commands, params: SwimmerParams, dt: float,
-                state: SwimmerState | None = None):
-    """Step through a tail-angle command trace; returns the state history."""
-    if state is None:
-        state = SwimmerState()
-    history = [state]
-    for command in tail_commands:
-        state = step_swimmer(state, float(command), params, dt)
-        history.append(state)
-    return history
+    out_x, out_y, out_psi, out_v, out_tail = (np.zeros(len(commands) + 1)
+                                              for _ in range(5))
+    x = y = psi = v = tail = 0.0
+    # a float per step: tolist() would hold the whole trace as Python floats at once
+    for n, command in enumerate(map(float, commands), 1):
+        tail_rate = (command - tail) / dt
+        thrust = thrust_gain * tail_rate * tail_rate
+        v = v + dt * ((thrust - _drag(v, params)) / mass)
+        if v < 0.0:
+            v = 0.0
+        m_flap = flap_gain * tail_rate * abs(tail_rate)
+        m_steer = -thrust * math.sin(command) * tail_lever
+        x = x + dt * v * math.cos(psi)
+        y = y + dt * v * math.sin(psi)
+        psi = psi + dt * ((m_flap + m_steer) / yaw_damping)
+        tail = command
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi) and math.isfinite(v)):
+            raise NumericError(f"swimmer state became non-finite at step {n}")
+        out_x[n] = x
+        out_y[n] = y
+        out_psi[n] = psi
+        out_v[n] = v
+        out_tail[n] = tail
+    return np.rec.fromarrays((out_x, out_y, out_psi, out_v, out_tail),
+                             names="x,y,psi,v,tail_angle")
 
 
 def reynolds(v: float, length: float, nu: float) -> float:

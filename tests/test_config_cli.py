@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sma_bimorph import cli, parse_config
+from sma_bimorph import AmadoResult, SweepTable, cli, parse_config
 from sma_bimorph.cli import run_scenario
 from sma_bimorph.csvio import write_csv
 from sma_bimorph.errors import ConfigError
@@ -319,3 +319,16 @@ def test_shipped_example_config_matches_defaults():
     assert explicit.swimmer == defaults.swimmer
     assert explicit.calibration == defaults.calibration
     assert explicit.scenario == "characterization"
+
+
+def test_sweep_columns_place_failed_cells_as_nan_rows():
+    rows = tuple(AmadoResult(frequency=f, duty_cycle=dc, mado=np.array([a]), amado=a,
+                             std=0.0, normalized=1.0)
+                 for f, dc, a in ((1.0, 0.05, 4.0), (5.0, 0.05, 1.0)))
+    table = SweepTable(rows=rows, av_max={1.0: 4.0, 5.0: 1.0},
+                       errors={(1.0, 0.1): "NumericError: boom"})
+    f, dc, amado, std, normalized = cli.sweep_columns(table)
+    assert f == [1.0, 1.0, 5.0]
+    assert dc == [5.0, 10.0, 5.0]
+    assert amado[0] == 4.0 and amado[2] == 1.0
+    assert np.isnan(amado[1]) and np.isnan(std[1]) and np.isnan(normalized[1])

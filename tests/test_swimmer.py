@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sma_bimorph import (SwimmerParams, SwimmerState, body_lengths_per_second,
-                         fit_thrust_coefficient, reynolds, run_swimmer, steady_speed,
-                         step_swimmer)
-from sma_bimorph.errors import ParameterError
+from sma_bimorph import (SwimmerParams, body_lengths_per_second, fit_thrust_coefficient,
+                         reynolds, run_swimmer, steady_speed)
+from sma_bimorph.errors import NumericError, ParameterError
 from sma_bimorph.swimmer import _drag
 
 
@@ -58,8 +57,7 @@ class TestSteadySpeed:
 class TestStepSwimmer:
     def test_zero_motion_is_fixed_point(self):
         params = SwimmerParams()
-        state = SwimmerState()
-        out = step_swimmer(state, 0.0, params, 5e-4)
+        state, out = run_swimmer([0.0], params, 5e-4)
         assert out == state
 
     def test_symmetric_flapping_swims_straight(self):
@@ -111,7 +109,7 @@ class TestStepSwimmer:
 
     def test_dt_guard(self):
         with pytest.raises(ParameterError):
-            step_swimmer(SwimmerState(), 0.0, SwimmerParams(), 2e-3)
+            run_swimmer([0.0], SwimmerParams(), 2e-3)
 
     def test_head_must_dominate_tail_drag(self):
         with pytest.raises(ParameterError):
@@ -154,9 +152,59 @@ def test_steady_speed_rejects_negative_inputs():
 
 
 def test_step_swimmer_flags_non_finite_state():
-    from sma_bimorph.errors import NumericError
     params = SwimmerParams()
-    state = SwimmerState()
     with pytest.raises(NumericError):
         # an absurd command drives thrust and speed to overflow
-        step_swimmer(state, 1e200, params, 1e-3)
+        run_swimmer([1e200], params, 1e-3)
+
+
+def _reference_track(tail_commands, params, dt):
+    """The swimmer law written out one step at a time on a state tuple."""
+    x = y = psi = v = tail_angle = 0.0
+    rows = [(x, y, psi, v, tail_angle)]
+    for command in tail_commands:
+        command = float(command)
+        tail_rate = (command - tail_angle) / dt
+        thrust = 2.0 * params.thrust_coeff * tail_rate * tail_rate
+        accel = (thrust - _drag(v, params)) / params.mass
+        v_next = v + dt * accel
+        if v_next < 0.0:
+            v_next = 0.0
+        centroid = 0.5 * params.tail_lever
+        m_flap = 0.5 * params.rho * params.tail_lateral_cda * centroid ** 2 \
+            * params.tail_lever * tail_rate * abs(tail_rate)
+        m_steer = -thrust * math.sin(command) * params.tail_lever
+        psi_rate = (m_flap + m_steer) / params.yaw_damping
+        x, y = x + dt * v_next * math.cos(psi), y + dt * v_next * math.sin(psi)
+        psi, v, tail_angle = psi + dt * psi_rate, v_next, command
+        rows.append((x, y, psi, v, tail_angle))
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestRunSwimmerTrack:
+    FIELDS = ("x", "y", "psi", "v", "tail_angle")
+
+    def test_record_array_contract(self):
+        dt = 5e-4
+        t = np.arange(400) * dt
+        tail = 0.25 * np.sin(2 * math.pi * 3.0 * t)
+        track = run_swimmer(tail, SwimmerParams(), dt)
+        assert isinstance(track, np.recarray)
+        assert track.dtype.names == self.FIELDS
+        assert all(track.dtype[name] == np.float64 for name in self.FIELDS)
+        assert len(track) - 1 == tail.size
+        assert all(track[0][name] == 0.0 for name in self.FIELDS)
+        assert track[-1].psi == track.psi[-1]
+        assert track.tail_angle[1:].tolist() == tail.tolist()
+
+    @pytest.mark.parametrize("linear_drag", [0.0, SwimmerParams().linear_drag])
+    def test_columns_match_stepwise_law_bit_for_bit(self, linear_drag):
+        params = SwimmerParams(linear_drag=linear_drag)
+        dt = 5e-4
+        t = np.arange(int(2.0 / dt)) * dt
+        sinusoid = 0.3 * np.sin(2 * math.pi * 3.0 * t)
+        one_sided = 0.3 * 0.5 * (1.0 - np.cos(2 * math.pi * 3.0 * t))
+        tail = np.concatenate([sinusoid, one_sided])
+        track = run_swimmer(tail, params, dt)
+        for name, expected in zip(self.FIELDS, _reference_track(tail, params, dt)):
+            assert track[name].tobytes() == expected.tobytes(), name
