@@ -1,10 +1,15 @@
 """Least-squares fit of model parameters to measured AMADO targets.
 
-The loss surface is non-smooth at hysteresis branch reversals, so the
-minimizer is derivative-free: a cyclic bounded coordinate search with a
-shrinking step, deterministic for a given problem.  Each evaluation runs
-the full drive protocol for every target cell and accumulates squared
-relative AMADO errors.
+Each evaluation runs the full drive protocol for every target cell and
+accumulates squared relative AMADO errors.  The tip gain g_tip only scales
+the tip trace (delta = g_tip * theta), and the FIR filter, the per-period
+peak-to-peak and the mean are linear, so every AMADO is proportional to
+g_tip.  When g_tip is free it is therefore profiled out in closed form
+from each evaluation (variable projection, Golub & Pereyra 1973) instead
+of being searched.  The other free parameters act on the non-smooth
+hysteresis dynamics, so the minimizer over them is derivative-free: a
+cyclic bounded coordinate search with a shrinking step, deterministic for
+a given problem.  The fit stops early once the loss reaches LOSS_FLOOR.
 """
 
 from dataclasses import dataclass, field, replace
@@ -44,6 +49,11 @@ DEFAULT_BOUNDS = {
     "eps_l": (0.02, 0.06),
     "pre_strain": (0.0, 4e-3),
 }
+
+# A loss this small is zero to rounding: a relative AMADO residual of 1e-12
+# per target.  The fit stops when it gets there; with g_tip free and a single
+# target reachable inside its bounds, the first evaluation already does.
+LOSS_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -135,9 +145,11 @@ def calibrate(problem: CalibrationProblem, params: CircuitParams,
     """Minimize the summed squared relative AMADO error over the free set.
 
     Every evaluation measures the targets with the pwm drive template and
-    the fir design (see measure_amado).  Returns the best parameters found;
-    converged is False when the budget ran out before the coordinate step
-    shrank to the floor.
+    the fir design (see measure_amado).  A free g_tip is set in closed form
+    at every evaluation, clamped to its bounds; the coordinate search covers
+    the other free parameters.  Returns the best parameters found;
+    converged is False when the budget ran out before the loss reached
+    LOSS_FLOOR or the coordinate step shrank to the floor.
     """
     names = list(problem.free)
     lo = {n: problem.bound(n)[0] for n in names}
@@ -147,48 +159,56 @@ def calibrate(problem: CalibrationProblem, params: CircuitParams,
     for n in names:
         owner, attr = FREE_PARAMETERS[n]
         start[n] = min(max(getattr(objs[owner], attr), lo[n]), hi[n])
+    searched = [n for n in names if n != "g_tip"]
 
     evaluations = 0
 
     def loss_of(values):
+        """(loss, residuals, values), with a free g_tip replaced by its best fit."""
         nonlocal evaluations
         evaluations += 1
         p, e, g = apply_parameters(values, props, env, geom)
         predictions = evaluate_targets(problem.targets, params, p, e, g,
                                        problem.run_length, problem.steady_window,
                                        pwm=pwm, fir=fir)
+        if "g_tip" in values:
+            # minimizer over s of sum(((s * a_i - t_i) / t_i)^2), s = g / g0
+            ratios = [pred / tgt[2] for pred, tgt in zip(predictions, problem.targets)]
+            norm = sum(r * r for r in ratios)
+            if norm > 0.0:
+                g0 = values["g_tip"]
+                gain = min(max(g0 * sum(ratios) / norm, lo["g_tip"]), hi["g_tip"])
+                predictions = [pred * (gain / g0) for pred in predictions]
+                values = dict(values, g_tip=gain)
         residuals = [(pred - tgt[2]) / tgt[2]
                      for pred, tgt in zip(predictions, problem.targets)]
-        return sum(r * r for r in residuals), tuple(residuals)
+        return sum(r * r for r in residuals), tuple(residuals), values
 
-    current = dict(start)
-    best_loss, best_residuals = loss_of(current)
+    best_loss, best_residuals, current = loss_of(start)
     step = problem.initial_step
-    converged = False
-    while evaluations < problem.budget:
+    converged = best_loss <= LOSS_FLOOR
+    while not converged and evaluations < problem.budget:
         improved = False
-        for n in names:
+        for n in searched:
             span = hi[n] - lo[n]
             for direction in (+1.0, -1.0):
-                if evaluations >= problem.budget:
+                if evaluations >= problem.budget or best_loss <= LOSS_FLOOR:
                     break
                 trial_value = min(max(current[n] + direction * step * span, lo[n]), hi[n])
                 if trial_value == current[n]:
                     continue
-                trial = dict(current)
-                trial[n] = trial_value
-                trial_loss, trial_residuals = loss_of(trial)
+                trial_loss, trial_residuals, trial = loss_of(dict(current, **{n: trial_value}))
                 if trial_loss < best_loss:
                     current = trial
                     best_loss = trial_loss
                     best_residuals = trial_residuals
                     improved = True
                     break   # keep working this coordinate next cycle
-        if not improved:
+        if best_loss <= LOSS_FLOOR:
+            converged = True
+        elif not improved:
             step *= 0.5
-            if step < problem.step_floor:
-                converged = True
-                break
+            converged = step < problem.step_floor
 
     fitted_props, fitted_env, fitted_geom = apply_parameters(current, props, env, geom)
     return CalibrationResult(parameters=dict(current), residuals=best_residuals,

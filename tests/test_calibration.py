@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
 from sma_bimorph import (CalibrationProblem, apply_parameters, calibrate)
-from sma_bimorph.calibration import evaluate_targets
+from sma_bimorph import calibration
+from sma_bimorph.calibration import DEFAULT_BOUNDS, evaluate_targets
 from sma_bimorph.errors import ParameterError
+
+# (t_amb K, h W/m^2/K, k_beam N*m/rad, g_tip m/rad) that perfbench's workload
+# generator draws for its seeds 1 and 2
+SEEDED_CONSTANTS = (
+    (290.9561854646744, 165.42301210811698, 0.01081887309488307, 0.013611518566267277),
+    (295.8862056313355, 168.43482461178047, 0.007282756838634044, 0.009867183893496275),
+)
 
 
 class TestProblemValidation:
@@ -49,7 +59,8 @@ class TestCalibrate:
         assert abs(fitted - 7.08) / 7.08 < 0.05
 
     def test_budget_exhaustion_flagged(self, circuit, props, env, geom):
-        problem = CalibrationProblem(free=("g_tip", "h"), targets=((1.0, 0.10, 7.08),),
+        # 20 mm is out of reach inside the g_tip bounds, so h is still searched
+        problem = CalibrationProblem(free=("g_tip", "h"), targets=((1.0, 0.10, 20.0),),
                                      budget=4, run_length=8.0, steady_window=4.0)
         result = calibrate(problem, circuit, props, env, geom)
         assert not result.converged
@@ -62,6 +73,62 @@ class TestCalibrate:
         b = calibrate(problem, circuit, props, env, geom)
         assert a.parameters == b.parameters
         assert a.loss == b.loss and a.evaluations == b.evaluations
+
+
+class TestProfiledTipGain:
+    @pytest.mark.parametrize("constants", [None, *SEEDED_CONSTANTS],
+                             ids=["nominal", "seed1", "seed2"])
+    def test_anchor_fit_takes_one_evaluation(self, circuit, props, env, geom, constants):
+        if constants:
+            t_amb, h, k_beam, g_tip = constants
+            props, env = replace(props, h=h), replace(env, t_amb=t_amb)
+            geom = replace(geom, k_beam=k_beam, g_tip=g_tip)
+        problem = CalibrationProblem(run_length=4.0, steady_window=3.0)
+        result = calibrate(problem, circuit, props, env, geom)
+        assert result.evaluations == 1 and result.converged
+        assert result.parameters["h"] == props.h
+        assert result.parameters["k_beam"] == geom.k_beam
+        fitted = evaluate_targets(problem.targets, circuit, result.props, result.env,
+                                  result.geom, 4.0, 3.0)[0]
+        assert abs((fitted - 7.08) / 7.08 - result.residuals[0]) < 1e-12
+
+    def test_unreachable_target_clamps_gain(self, circuit, props, env, geom):
+        problem = CalibrationProblem(free=("g_tip", "h"), targets=((1.0, 0.10, 20.0),),
+                                     budget=4, run_length=8.0, steady_window=4.0)
+        result = calibrate(problem, circuit, props, env, geom)
+        assert result.parameters["g_tip"] == DEFAULT_BOUNDS["g_tip"][1]
+        # the loss that a coordinate search over both names reached in 4 evaluations
+        assert result.loss <= 0.2050685000934254
+
+    def test_free_set_without_gain_is_searched_as_before(self, circuit, props, env, geom):
+        problem = CalibrationProblem(free=("h", "k_beam"), budget=6,
+                                     run_length=4.0, steady_window=3.0)
+        result = calibrate(problem, circuit, props, env, geom)
+        assert result.evaluations == 6 and not result.converged
+        assert result.loss == 0.00196589362373725
+        assert result.parameters == {"h": 150.0, "k_beam": 0.007}
+
+    def test_zero_amado_keeps_gain(self, circuit, props, env, geom):
+        problem = CalibrationProblem(free=("g_tip",), targets=((1.0, 0.01, 1.0),),
+                                     budget=10, run_length=4.0, steady_window=3.0)
+        result = calibrate(problem, circuit, props, env, geom)
+        assert result.parameters["g_tip"] == geom.g_tip
+        assert result.residuals == (-1.0,)
+
+    @pytest.mark.parametrize("free", [("g_tip",), ("g_tip", "h"), ("h",)])
+    def test_evaluations_count_every_model_run(self, monkeypatch, circuit, props, env,
+                                               geom, free):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate_targets(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "evaluate_targets", counting)
+        problem = CalibrationProblem(free=free, targets=((1.0, 0.10, 20.0),), budget=3,
+                                     run_length=4.0, steady_window=3.0)
+        result = calibrate(problem, circuit, props, env, geom)
+        assert result.evaluations == len(calls) >= 1
 
 
 class TestParameterRegistry:

@@ -1,6 +1,6 @@
 """Smoke test: the example scripts run end to end and write their CSVs.
 
-characterize.py is left out: its 30 s calibration takes minutes.
+characterize.py is left out: its 50-cell sweep of 30 s cells takes about 15-20 s.
 """
 
 import subprocess
