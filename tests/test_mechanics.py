@@ -7,7 +7,7 @@ import pytest
 from sma_bimorph import (PwmConfig, clearance_check, make_pwm_pair,
                          relaxed_actuator, run_mode_trace, simulate_wire,
                          solve_equilibrium, tip_envelope)
-from sma_bimorph.errors import ClearanceError, ParameterError
+from sma_bimorph.errors import ClearanceError, NumericError, ParameterError
 from sma_bimorph.mechanics import simulate_drive
 from sma_bimorph.metrology import spectral_energy_below
 from sma_bimorph.sma import relaxed_state
@@ -182,6 +182,26 @@ class TestStepActuator:
             assert np.array_equal(joined, getattr(whole, name)), name
         assert tail.final_state == whole.final_state
         assert max(head.max_residual, tail.max_residual) == whole.max_residual
+
+    def test_non_finite_initial_temperature_names_sample_0(self, props, env, geom):
+        initial = relaxed_actuator(props, env, geom)
+        initial = replace(initial, top=replace(initial.top, temperature=math.nan))
+        with pytest.raises(NumericError, match=r"non-finite at sample 0$"):
+            simulate_drive(np.zeros(10), np.zeros(10), props, env, geom, 1 / 2000.0,
+                           initial=initial)
+
+    def test_overflowing_current_names_its_first_sample(self, props, env, geom):
+        current = np.zeros(100)
+        current[37:] = 1e200
+        with pytest.raises(NumericError, match=r"non-finite at sample 37$"):
+            simulate_drive(np.zeros(100), current, props, env, geom, 1 / 2000.0)
+
+    def test_empty_drive_gives_empty_trace(self, props, env, geom):
+        trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0)
+        for name in ("t", "delta", "theta", "temp_top", "temp_bottom", "xi_top",
+                     "xi_bottom", "sigma_top", "sigma_bottom"):
+            assert getattr(trace, name).shape == (0,), name
+        assert trace.max_residual == 0.0
 
     def test_mirror_symmetry_bitwise(self, props, env, geom, circuit):
         cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)
