@@ -95,7 +95,6 @@ _KEYS = {
         "max_recoverable_strain": ("number", WireProperties, "eps_l", None),
         "resistivity_ohm_m": ("number", WireProperties, "resistivity", None),
         "pre_strain": ("number", WireProperties, "pre_strain", None),
-        "latent_heat_j_kg": ("number", WireProperties, "latent_heat", None),
     },
     "environment": {
         "ambient_k": ("number", Environment, "t_amb", None),

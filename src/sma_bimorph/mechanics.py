@@ -40,8 +40,9 @@ import numpy as np
 
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
 from .errors import ClearanceError, NumericError, ParameterError
-from .sma import (Environment, WireProperties, WireState, _sample_arrays, _scalar_state,
-                  _tension_from_kinematics, _wire_state, _wire_stepper, relaxed_state)
+from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _branch_after,
+                  _branch_switches, _phase_step, _sample_arrays, _tension_from_kinematics,
+                  _wire_state, relaxed_state, temperature_trace, transformation_temperatures)
 
 
 @dataclass(frozen=True)
@@ -218,57 +219,107 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     """Run the coupled model over per-sample current arrays from initial.
 
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
-    is applied: each wire takes one step of _wire_stepper at its current,
-    read as a Python float, and at the stress of the previous balance, held
-    over the step; then _balance solves the torque balance for the new xi
-    pair.  Sample 0 is initial itself, theta included, so a drive split at
-    any sample and continued from the first part's final_state gives the
-    unsplit trace bit for bit.  Raises NumericError at the first sample
-    whose temperature is non-finite.
+    is applied: each wire's phase steps (sma._phase_step) to its new
+    temperature in the band that the stress of the previous balance
+    shifts, then _balance solves the torque balance for the new xi pair.
+    The heat balance reads neither stress nor xi, so both temperature
+    traces are computed first (sma.temperature_trace).  Sample 0 is initial
+    itself, theta included, so a drive split at any sample and continued
+    from the first part's final_state gives the unsplit trace bit for bit.
+    Raises NumericError at the first sample whose temperature is
+    non-finite.
+
+    Two shortcuts leave every bit as the step-by-step loop gives it:
+
+    * _balance is a pure function of the xi pair, so it is solved only at
+      the first step and when the pair differs from the last pair solved.
+    * Dormant stretches are skipped.  Once a step leaves xi = anchor_xi = 1
+      on both wires (so the balance was last solved for (1, 1)), each wire
+      at or below its stress-shifted A_s, and a wire on the heating branch
+      anchored at or below it too, every later step whose two temperatures
+      stay at or below A_s keeps xi = 1 exactly: heating gives
+      1 * 1.0 / 1.0, cooling 1 - 0 * x / d, and neither envelope clamp can
+      fire.  Such steps change only the branch and its anchor temperature,
+      which follow from the temperatures alone (sma._branch_switches), so
+      their records are filled by slice up to the first step that exceeds
+      A_s.
     """
     i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
         initial = relaxed_actuator(props, env, geom)
-    step = _wire_stepper(props, env, dt)
+    top, bottom = initial.top, initial.bottom
+    temps_t = temperature_trace(i_t, top.temperature, props, env, dt)
+    temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt)
+    bad = np.flatnonzero(~(np.isfinite(temps_t[1:]) & np.isfinite(temps_b[1:])))
+    if bad.size:
+        raise NumericError(f"state became non-finite at sample {bad[0]}")
+    # step n runs each wire from steps_*[n] to steps_*[n + 1]
+    steps_t = temps_t.tolist()
+    steps_t[0] = top.t_prev
+    steps_b = temps_b.tolist()
+    steps_b[0] = bottom.t_prev
+
     balance = _balance(geom, props)
-    temp_t, xi_t, anc_xi_t, anc_t_t, br_t, prev_t = _scalar_state(initial.top)
-    temp_b, xi_b, anc_xi_b, anc_t_b, br_b, prev_b = _scalar_state(initial.bottom)
-    sigma_t, sigma_b = initial.top.sigma, initial.bottom.sigma
+    xi_t, anc_xi_t, anc_t_t, br_t = top.xi, top.anchor_xi, top.anchor_t, top.branch
+    xi_b, anc_xi_b, anc_t_b, br_b = bottom.xi, bottom.anchor_xi, bottom.anchor_t, bottom.branch
+    theta, sigma_t, sigma_b = initial.theta, top.sigma, bottom.sigma
+    m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
+    m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
+    solved_t = solved_b = None     # the xi pair of the last balance solved
+    dormant = None                 # (exceeding steps, top switches, bottom switches)
 
     size = i_t.size
-    (out_theta, out_temp_t, out_temp_b,
-     out_xi_t, out_xi_b, out_sig_t, out_sig_b) = (np.empty(size) for _ in range(7))
-    theta = initial.theta
+    out_theta, out_xi_t, out_xi_b, out_sig_t, out_sig_b = (np.empty(size) for _ in range(5))
     max_resid = 0.0
-    for n in range(size):
+    n = 0
+    while n < size:
         out_theta[n] = theta
-        out_temp_t[n] = temp_t
-        out_temp_b[n] = temp_b
         out_xi_t[n] = xi_t
         out_xi_b[n] = xi_b
         out_sig_t[n] = sigma_t
         out_sig_b[n] = sigma_b
 
-        temp_t, xi_t, anc_xi_t, anc_t_t, br_t = step(
-            temp_t, prev_t, xi_t, anc_xi_t, anc_t_t, br_t, float(i_t[n]), sigma_t)
-        temp_b, xi_b, anc_xi_b, anc_t_b, br_b = step(
-            temp_b, prev_b, xi_b, anc_xi_b, anc_t_b, br_b, float(i_b[n]), sigma_b)
-        if not (math.isfinite(temp_t) and math.isfinite(temp_b)):
-            raise NumericError(f"state became non-finite at sample {n}")
-        prev_t = temp_t
-        prev_b = temp_b
+        xi_t, anc_xi_t, anc_t_t, br_t = _phase_step(
+            xi_t, steps_t[n + 1], steps_t[n], anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
+        xi_b, anc_xi_b, anc_t_b, br_b = _phase_step(
+            xi_b, steps_b[n + 1], steps_b[n], anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
+        n += 1
 
-        theta, sigma_t, sigma_b, resid = balance(xi_t, xi_b)
-        if abs(resid) > max_resid:
-            max_resid = abs(resid)
+        if xi_t != solved_t or xi_b != solved_b:
+            solved_t, solved_b = xi_t, xi_b
+            theta, sigma_t, sigma_b, resid = balance(xi_t, xi_b)
+            if abs(resid) > max_resid:
+                max_resid = abs(resid)
+            m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
+            m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
+
+        if (xi_t == 1.0 and xi_b == 1.0 and anc_xi_t == 1.0 and anc_xi_b == 1.0
+                and steps_t[n] <= a_s_t and steps_b[n] <= a_s_b
+                and (br_t != BRANCH_HEATING or anc_t_t <= a_s_t)
+                and (br_b != BRANCH_HEATING or anc_t_b <= a_s_b)):
+            if dormant is None:
+                dormant = (np.flatnonzero((temps_t[1:] > a_s_t) | (temps_b[1:] > a_s_b)),
+                           _branch_switches(temps_t, top.t_prev, top.branch),
+                           _branch_switches(temps_b, bottom.t_prev, bottom.branch))
+            exceeding, switches_t, switches_b = dormant
+            k = exceeding.searchsorted(n)
+            end = int(exceeding[k]) if k < exceeding.size else size
+            out_theta[n:end] = theta
+            out_xi_t[n:end] = 1.0
+            out_xi_b[n:end] = 1.0
+            out_sig_t[n:end] = sigma_t
+            out_sig_b[n:end] = sigma_b
+            br_t, anc_t_t = _branch_after(switches_t, n, end, steps_t, br_t, anc_t_t)
+            br_b, anc_t_b = _branch_after(switches_b, n, end, steps_b, br_b, anc_t_b)
+            n = end
 
     final = ActuatorState(
-        top=_wire_state(temp_t, xi_t, anc_xi_t, anc_t_t, br_t, sigma_t),
-        bottom=_wire_state(temp_b, xi_b, anc_xi_b, anc_t_b, br_b, sigma_b),
+        top=_wire_state(float(temps_t[-1]), xi_t, anc_xi_t, anc_t_t, br_t, sigma_t),
+        bottom=_wire_state(float(temps_b[-1]), xi_b, anc_xi_b, anc_t_b, br_b, sigma_b),
         theta=theta, delta=geom.g_tip * theta)
     return DisplacementTrace(
         t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,
-        theta=out_theta, temp_top=out_temp_t, temp_bottom=out_temp_b,
+        theta=out_theta, temp_top=temps_t[:-1], temp_bottom=temps_b[:-1],
         xi_top=out_xi_t, xi_bottom=out_xi_b, sigma_top=out_sig_t, sigma_bottom=out_sig_b,
         max_residual=max_resid, final_state=final)
 

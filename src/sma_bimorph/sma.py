@@ -7,7 +7,10 @@ martensite fraction xi.  Three laws compose:
 * Joule heating / convective cooling ODE,
       m c_p dT/dt = i^2 R - h A_lat (T - T_amb),
   advanced with fixed-step classical RK4.  R follows from resistivity
-  and strand geometry; A_lat is the total lateral surface.
+  and strand geometry; A_lat is the total lateral surface.  The balance
+  holds no latent-heat term, so it reads neither the stress nor xi: a
+  wire's whole temperature trace is computed first (temperature_trace),
+  and the phase is then stepped over it (_phase_step).
 
 * Cosine transformation kinetics with linear stress shift.  The
   transformation bands move up with tensile stress,
@@ -22,6 +25,13 @@ martensite fraction xi.  Three laws compose:
       eps = sigma/E(xi) + eps_L * xi,   E(xi) = E_A + xi (E_M - E_A),
   with the detwinned fraction identified with xi (the antagonistic
   layout keeps both groups under tension at all times).
+
+The branch a wire is on depends on the temperatures only through the
+sign of each step's temperature change, so the branch, and the
+temperature at which it last switched, follow from the temperature trace
+alone (_branch_switches).  mechanics.simulate_drive uses this to skip stretches
+in which both wires stay fully martensitic; see its docstring for the
+conditions under which that skip is exact.
 
 Temperatures are kelvin, stresses Pa, strains dimensionless.  Defaults
 are nominal nitinol values for a 38.1 um wire with a 90 C austenite
@@ -64,7 +74,6 @@ class WireProperties:
     eps_l: float = 0.04                # max recoverable strain
     resistivity: float = 8.2e-7        # ohm m
     pre_strain: float = 4.0e-4         # elastic strain tied in at assembly
-    latent_heat: float = 0.0           # J/kg, 0 disables the latent term
 
     def __post_init__(self):
         if not (self.m_f < self.m_s <= self.a_s < self.a_f):
@@ -81,8 +90,6 @@ class WireProperties:
             raise ParameterError(f"parallel_strands must be >= 1, got {self.parallel_strands}")
         if self.pre_strain < 0:
             raise ParameterError(f"pre_strain must be >= 0, got {self.pre_strain}")
-        if self.latent_heat < 0:
-            raise ParameterError(f"latent_heat must be >= 0, got {self.latent_heat}")
 
     @property
     def strand_area(self):
@@ -241,23 +248,6 @@ def _phase_step(xi, temp, t_prev, anchor_xi, anchor_t, branch,
     return new_xi, anchor_xi, anchor_t, branch
 
 
-def _phase_slope(temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff, a_f_eff):
-    """|dxi/dT| of the active branch in the shifted band, for the latent-heat correction."""
-    if branch == BRANCH_HEATING and a_s_eff < temp < a_f_eff:
-        denom = _heating_shape(anchor_t, a_s_eff, a_f_eff)
-        if denom > 1e-12:
-            width = a_f_eff - a_s_eff
-            return (anchor_xi / denom) * 0.5 * math.pi / width \
-                * abs(math.sin(math.pi * (temp - a_s_eff) / width))
-    elif branch == BRANCH_COOLING and m_f_eff < temp < m_s_eff:
-        denom = 1.0 - _cooling_shape(anchor_t, m_f_eff, m_s_eff)
-        if denom > 1e-12:
-            width = m_s_eff - m_f_eff
-            return ((1.0 - anchor_xi) / denom) * 0.5 * math.pi / width \
-                * abs(math.sin(math.pi * (temp - m_f_eff) / width))
-    return 0.0
-
-
 def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     # invert the constitutive law at fixed xi; slack wires carry nothing
     e_mod = e_a + xi * (e_m - e_a)
@@ -265,34 +255,23 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
     return s if s > 0.0 else 0.0
 
 
-def _wire_stepper(props: WireProperties, env: Environment, dt: float):
-    """The one-step wire update of props in env at time step dt.
+def temperature_trace(currents, temperature, props: WireProperties, env: Environment,
+                      dt: float) -> np.ndarray:
+    """Temperatures of a wire at t_0 ... t_n, starting from temperature.
 
-    Returns step(temp, t_prev, xi, anchor_xi, anchor_t, branch, current,
-    sigma) -> (temperature, xi, anchor_xi, anchor_t, branch): an RK4 heat
-    balance over dt, then the phase step from t_prev to the new temperature.
-    current and sigma are held over the step, and the latent-heat slope and
-    the kinetics read the one band that sigma shifts.  Pass Python floats,
-    since NumPy scalars would make the rest of the step slower NumPy-scalar
-    arithmetic.  The latent heat, mass * latent_heat J per unit xi, adds the
-    transformation slope at the step start to the heat capacity.
+    currents is a float array of n samples, read as Python floats and each
+    held over its step of dt; entry k of the result is the temperature
+    after k classical RK4 steps of the heat balance (module docstring).
+    The balance reads neither the stress nor xi, so a wire's whole
+    temperature trace is known before its phase is stepped.
     """
     resistance = props.resistance
     h_area = props.h * env.convection_multiplier * props.lateral_area
-    heat_cap = props.heat_capacity
-    latent_cap = props.mass * props.latent_heat
+    cap = props.heat_capacity
     t_amb = env.t_amb
-    m_f, m_s, a_s, a_f, c_m, c_a = props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a
-
-    def step(temp, t_prev, xi, anchor_xi, anchor_t, branch, current, sigma):
-        m_f_eff = m_f + sigma / c_m
-        m_s_eff = m_s + sigma / c_m
-        a_s_eff = a_s + sigma / c_a
-        a_f_eff = a_f + sigma / c_a
-        cap = heat_cap
-        if latent_cap > 0.0:
-            cap = heat_cap + latent_cap * _phase_slope(temp, anchor_xi, anchor_t, branch,
-                                                       m_f_eff, m_s_eff, a_s_eff, a_f_eff)
+    temp = temperature
+    temps = [temp]
+    for current in currents.tolist():
         q = current * current * resistance
         k1 = (q - h_area * (temp - t_amb)) / cap
         t2 = temp + 0.5 * dt * k1
@@ -301,13 +280,45 @@ def _wire_stepper(props: WireProperties, env: Environment, dt: float):
         k3 = (q - h_area * (t3 - t_amb)) / cap
         t4 = temp + dt * k3
         k4 = (q - h_area * (t4 - t_amb)) / cap
-        new_temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        xi, anchor_xi, anchor_t, branch = _phase_step(
-            xi, new_temp, t_prev, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff, a_f_eff)
-        return new_temp, xi, anchor_xi, anchor_t, branch
+        temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        temps.append(temp)
+    return np.array(temps, dtype=np.float64)
 
-    return step
 
+def _branch_switches(temps, t_prev, branch):
+    """The steps of a temperature trace at which _phase_step switches branch.
+
+    temps is a temperature_trace, t_prev the temperature that the first
+    step's direction is measured from and branch the branch before it.
+    Returns (steps, branches), ascending, with the branch each switch
+    starts.  Step m switches when its temperature change has a sign and
+    that sign differs from the branch: the branch follows the temperatures
+    alone, whatever xi does, and the switch anchors at temps[m] (t_prev at
+    m = 0).
+    """
+    before = temps[:-1].copy()
+    before[:1] = t_prev
+    change = temps[1:] - before
+    heating = change > 0.0
+    steps = np.flatnonzero(heating | (change < 0.0))
+    branches = np.where(heating[steps], BRANCH_HEATING, BRANCH_COOLING)
+    switched = branches != np.concatenate(([branch], branches[:-1]))
+    return steps[switched], branches[switched]
+
+
+def _branch_after(switches, start, end, steps, branch, anchor_t):
+    """(branch, anchor_t) of a wire after steps start ... end - 1 of its trace.
+
+    switches is the trace's _branch_switches, branch and anchor_t the
+    wire's before step start, and steps[m] the temperature that step m
+    starts from, where a switch at m anchors.  Exact only for steps that
+    leave xi and anchor_xi unchanged, since anchor_xi is not tracked.
+    """
+    at, branches = switches
+    k = at.searchsorted(end) - 1
+    if k >= 0 and at[k] >= start:
+        return int(branches[k]), steps[at[k]]
+    return branch, anchor_t
 
 # ---------------------------------------------------------------------------
 # public operations on WireState values
@@ -332,12 +343,6 @@ def _sample_arrays(dt, a, b, names):
     return a, b
 
 
-def _scalar_state(state: WireState):
-    """The (temperature, xi, anchor_xi, anchor_t, branch, t_prev) a stepping loop carries."""
-    return (state.temperature, state.xi, state.anchor_xi, state.anchor_t, state.branch,
-            state.t_prev)
-
-
 def _wire_state(temp, xi, anchor_xi, anchor_t, branch, sigma) -> WireState:
     """WireState of a stepping loop's scalar state under tension sigma."""
     return WireState(temperature=temp, xi=xi, sigma=sigma, anchor_xi=anchor_xi,
@@ -354,8 +359,10 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
                   dt: float, state: WireState | None = None):
     """Drive one wire group with per-sample current and applied stress.
 
-    currents and sigmas are same-length sample arrays, read as Python floats
-    and each held over its step (see _wire_stepper), as each wire of
+    currents and sigmas are same-length sample arrays, each sample held
+    over its step.  The temperatures come first (temperature_trace); then
+    _phase_step advances xi to each new temperature in the band that the
+    step's stress shifts (transformation_temperatures), as each wire of
     mechanics.simulate_drive is stepped.  Returns (temperature trace, xi
     trace, final WireState), the traces holding the state after each step.
     """
@@ -364,17 +371,18 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
         raise ParameterError(f"sigmas must be >= 0 (wires cannot push), got {sigmas.min()}")
     if state is None:
         state = relaxed_state(props, env)
-    step = _wire_stepper(props, env, dt)
-    temp, xi, anchor_xi, anchor_t, branch, t_prev = _scalar_state(state)
-    out_temp = np.empty_like(currents)
-    out_xi = np.empty_like(currents)
-    for n in range(currents.size):
-        temp, xi, anchor_xi, anchor_t, branch = step(
-            temp, t_prev, xi, anchor_xi, anchor_t, branch, float(currents[n]), float(sigmas[n]))
-        t_prev = temp
-        out_temp[n] = temp
-        out_xi[n] = xi
+    temps = temperature_trace(currents, state.temperature, props, env, dt)
+    temp = float(temps[-1])
     if not math.isfinite(temp):
         raise NumericError(f"temperature became non-finite: {temp}")
+    steps = temps.tolist()
+    steps[0] = state.t_prev    # step n runs from steps[n] to steps[n + 1]
+    xi, anchor_xi, anchor_t, branch = state.xi, state.anchor_xi, state.anchor_t, state.branch
+    out_xi = np.empty_like(currents)
+    for n, sigma in enumerate(sigmas.tolist()):
+        xi, anchor_xi, anchor_t, branch = _phase_step(
+            xi, steps[n + 1], steps[n], anchor_xi, anchor_t, branch,
+            *transformation_temperatures(props, sigma))
+        out_xi[n] = xi
     final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma
-    return out_temp, out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch, final_sigma)
+    return temps[1:], out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch, final_sigma)

@@ -88,17 +88,6 @@ class TestThermal:
         with pytest.raises(NumericError):
             hold_current(state, 0.0, 1, props, env, 5e-4)
 
-    def test_latent_heat_slows_transformation_traverse(self, env):
-        base = WireProperties()
-        latent = WireProperties(latent_heat=20e3)
-        state_b = replace(relaxed_state(base, env),
-                          temperature=350.0, branch=BRANCH_HEATING,
-                          anchor_xi=1.0, anchor_t=300.0, xi=0.6)
-        state_l = replace(state_b)
-        out_b = hold_current(state_b, 0.25, 1, base, env, 5e-4)
-        out_l = hold_current(state_l, 0.25, 1, latent, env, 5e-4)
-        assert out_l < out_b
-
 
 class TestPhaseKinetics:
     def test_full_martensite_below_m_f(self, props, env):
@@ -270,10 +259,8 @@ class TestInvariantSuite:
 
 
 class TestVectorScalarConsistency:
-    def test_simulate_wire_matches_chained_single_steps(self, env):
-        # the final state carries everything the next step needs; with the
-        # latent-heat term on, each step's slope reads that step's own stress
-        props = WireProperties(latent_heat=15e3)
+    def test_simulate_wire_matches_chained_single_steps(self, props, env):
+        # the final state carries everything the next step needs
         rng = np.random.default_rng(3)
         n = 200
         currents = rng.uniform(0.0, 0.25, n)
