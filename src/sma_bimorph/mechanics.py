@@ -41,8 +41,9 @@ import numpy as np
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
 from .errors import ClearanceError, NumericError, ParameterError
 from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _branch_after,
-                  _branch_switches, _phase_step, _sample_arrays, _tension_from_kinematics,
-                  _wire_state, relaxed_state, temperature_trace, transformation_temperatures)
+                  _branch_switches, _phase_step, _sample_arrays, _scalar_state,
+                  _tension_from_kinematics, _wire_state, relaxed_state, temperature_trace,
+                  transformation_temperatures)
 
 
 @dataclass(frozen=True)
@@ -253,15 +254,11 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     bad = np.flatnonzero(~(np.isfinite(temps_t[1:]) & np.isfinite(temps_b[1:])))
     if bad.size:
         raise NumericError(f"state became non-finite at sample {bad[0]}")
-    # step n runs each wire from steps_*[n] to steps_*[n + 1]
-    steps_t = temps_t.tolist()
-    steps_t[0] = top.t_prev
-    steps_b = temps_b.tolist()
-    steps_b[0] = bottom.t_prev
+    trace_t, trace_b = memoryview(temps_t), memoryview(temps_b)   # read as Python floats
 
     balance = _balance(geom, props)
-    xi_t, anc_xi_t, anc_t_t, br_t = top.xi, top.anchor_xi, top.anchor_t, top.branch
-    xi_b, anc_xi_b, anc_t_b, br_b = bottom.xi, bottom.anchor_xi, bottom.anchor_t, bottom.branch
+    xi_t, anc_xi_t, anc_t_t, br_t, prev_t = _scalar_state(top)
+    xi_b, anc_xi_b, anc_t_b, br_b, prev_b = _scalar_state(bottom)
     theta, sigma_t, sigma_b = initial.theta, top.sigma, bottom.sigma
     m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
     m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
@@ -279,11 +276,15 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
         out_sig_t[n] = sigma_t
         out_sig_b[n] = sigma_b
 
-        xi_t, anc_xi_t, anc_t_t, br_t = _phase_step(
-            xi_t, steps_t[n + 1], steps_t[n], anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
-        xi_b, anc_xi_b, anc_t_b, br_b = _phase_step(
-            xi_b, steps_b[n + 1], steps_b[n], anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
         n += 1
+        temp_t = trace_t[n]
+        temp_b = trace_b[n]
+        xi_t, anc_xi_t, anc_t_t, br_t = _phase_step(
+            xi_t, temp_t, prev_t, anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
+        xi_b, anc_xi_b, anc_t_b, br_b = _phase_step(
+            xi_b, temp_b, prev_b, anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
+        prev_t = temp_t
+        prev_b = temp_b
 
         if xi_t != solved_t or xi_b != solved_b:
             solved_t, solved_b = xi_t, xi_b
@@ -294,7 +295,7 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
             m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
 
         if (xi_t == 1.0 and xi_b == 1.0 and anc_xi_t == 1.0 and anc_xi_b == 1.0
-                and steps_t[n] <= a_s_t and steps_b[n] <= a_s_b
+                and temp_t <= a_s_t and temp_b <= a_s_b
                 and (br_t != BRANCH_HEATING or anc_t_t <= a_s_t)
                 and (br_b != BRANCH_HEATING or anc_t_b <= a_s_b)):
             if dormant is None:
@@ -309,8 +310,10 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
             out_xi_b[n:end] = 1.0
             out_sig_t[n:end] = sigma_t
             out_sig_b[n:end] = sigma_b
-            br_t, anc_t_t = _branch_after(switches_t, n, end, steps_t, br_t, anc_t_t)
-            br_b, anc_t_b = _branch_after(switches_b, n, end, steps_b, br_b, anc_t_b)
+            br_t, anc_t_t = _branch_after(switches_t, n, end, temps_t, br_t, anc_t_t)
+            br_b, anc_t_b = _branch_after(switches_b, n, end, temps_b, br_b, anc_t_b)
+            prev_t = trace_t[end]
+            prev_b = trace_b[end]
             n = end
 
     final = ActuatorState(

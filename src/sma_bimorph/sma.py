@@ -269,9 +269,10 @@ def temperature_trace(currents, temperature, props: WireProperties, env: Environ
     h_area = props.h * env.convection_multiplier * props.lateral_area
     cap = props.heat_capacity
     t_amb = env.t_amb
-    temp = temperature
-    temps = [temp]
-    for current in currents.tolist():
+    temps = np.empty(currents.size + 1)
+    out = memoryview(temps)    # stores Python floats without NumPy scalar overhead
+    temp = out[0] = temperature
+    for k, current in enumerate(currents.tolist(), 1):
         q = current * current * resistance
         k1 = (q - h_area * (temp - t_amb)) / cap
         t2 = temp + 0.5 * dt * k1
@@ -281,8 +282,8 @@ def temperature_trace(currents, temperature, props: WireProperties, env: Environ
         t4 = temp + dt * k3
         k4 = (q - h_area * (t4 - t_amb)) / cap
         temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        temps.append(temp)
-    return np.array(temps, dtype=np.float64)
+        out[k] = temp
+    return temps
 
 
 def _branch_switches(temps, t_prev, branch):
@@ -296,9 +297,8 @@ def _branch_switches(temps, t_prev, branch):
     alone, whatever xi does, and the switch anchors at temps[m] (t_prev at
     m = 0).
     """
-    before = temps[:-1].copy()
-    before[:1] = t_prev
-    change = temps[1:] - before
+    change = np.diff(temps)
+    change[:1] = temps[1:2] - t_prev
     heating = change > 0.0
     steps = np.flatnonzero(heating | (change < 0.0))
     branches = np.where(heating[steps], BRANCH_HEATING, BRANCH_COOLING)
@@ -306,18 +306,18 @@ def _branch_switches(temps, t_prev, branch):
     return steps[switched], branches[switched]
 
 
-def _branch_after(switches, start, end, steps, branch, anchor_t):
+def _branch_after(switches, start, end, temps, branch, anchor_t):
     """(branch, anchor_t) of a wire after steps start ... end - 1 of its trace.
 
-    switches is the trace's _branch_switches, branch and anchor_t the
-    wire's before step start, and steps[m] the temperature that step m
-    starts from, where a switch at m anchors.  Exact only for steps that
+    switches is the _branch_switches of temperature trace temps, and branch
+    and anchor_t are the wire's before step start >= 1.  A switch at step m
+    anchors at temps[m], where the step starts.  Exact only for steps that
     leave xi and anchor_xi unchanged, since anchor_xi is not tracked.
     """
     at, branches = switches
     k = at.searchsorted(end) - 1
     if k >= 0 and at[k] >= start:
-        return int(branches[k]), steps[at[k]]
+        return int(branches[k]), float(temps[at[k]])
     return branch, anchor_t
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,11 @@ def _sample_arrays(dt, a, b, names):
     if a.shape != b.shape:
         raise ParameterError(f"{names} must have the same shape")
     return a, b
+
+
+def _scalar_state(state: WireState):
+    """The (xi, anchor_xi, anchor_t, branch, t_prev) a phase-stepping loop carries."""
+    return state.xi, state.anchor_xi, state.anchor_t, state.branch, state.t_prev
 
 
 def _wire_state(temp, xi, anchor_xi, anchor_t, branch, sigma) -> WireState:
@@ -375,14 +380,13 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     temp = float(temps[-1])
     if not math.isfinite(temp):
         raise NumericError(f"temperature became non-finite: {temp}")
-    steps = temps.tolist()
-    steps[0] = state.t_prev    # step n runs from steps[n] to steps[n + 1]
-    xi, anchor_xi, anchor_t, branch = state.xi, state.anchor_xi, state.anchor_t, state.branch
+    xi, anchor_xi, anchor_t, branch, t_prev = _scalar_state(state)
     out_xi = np.empty_like(currents)
-    for n, sigma in enumerate(sigmas.tolist()):
+    for n, (new_temp, sigma) in enumerate(zip(memoryview(temps)[1:], sigmas.tolist())):
         xi, anchor_xi, anchor_t, branch = _phase_step(
-            xi, steps[n + 1], steps[n], anchor_xi, anchor_t, branch,
+            xi, new_temp, t_prev, anchor_xi, anchor_t, branch,
             *transformation_temperatures(props, sigma))
+        t_prev = new_temp
         out_xi[n] = xi
     final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma
     return temps[1:], out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch, final_sigma)
