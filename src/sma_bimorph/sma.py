@@ -29,9 +29,9 @@ martensite fraction xi.  Three laws compose:
 The branch a wire is on depends on the temperatures only through the
 sign of each step's temperature change, so the branch, and the
 temperature at which it last switched, follow from the temperature trace
-alone (_branch_switches).  mechanics.simulate_drive uses this to skip stretches
-in which both wires stay fully martensitic; see its docstring for the
-conditions under which that skip is exact.
+alone (_branch_switches).  mechanics.simulate_drive uses this to skip
+stretches in which both wires stay fully martensitic; its docstring
+gives the conditions under which that skip is exact.
 
 Temperatures are kelvin, stresses Pa, strains dimensionless.  Defaults
 are nominal nitinol values for a 38.1 um wire with a 90 C austenite
@@ -319,6 +319,7 @@ def _branch_after(switches, start, end, temps, branch, anchor_t):
     if k >= 0 and at[k] >= start:
         return int(branches[k]), float(temps[at[k]])
     return branch, anchor_t
+
 
 # ---------------------------------------------------------------------------
 # public operations on WireState values
