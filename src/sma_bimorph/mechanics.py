@@ -39,10 +39,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
-from .errors import ClearanceError, NumericError, ParameterError
-from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _branch_after,
-                  _branch_switches, _phase_step, _sample_arrays, _scalar_state,
-                  _tension_from_kinematics, _wire_state, relaxed_state, temperature_trace,
+from .errors import ClearanceError, ParameterError
+from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _branch_trace,
+                  _final_wire, _phase_step, _require_finite, _sample_arrays,
+                  _tension_from_kinematics, relaxed_state, temperature_trace,
                   transformation_temperatures)
 
 
@@ -224,26 +224,28 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     temperature in the band that the stress of the previous balance
     shifts, then _balance solves the torque balance for the new xi pair.
     The heat balance reads neither stress nor xi, so both temperature
-    traces are computed first (sma.temperature_trace).  Sample 0 is initial
-    itself, theta included, so a drive split at any sample and continued
-    from the first part's final_state gives the unsplit trace bit for bit.
-    Raises NumericError at the first sample whose temperature is
-    non-finite.
+    traces are computed first (sma.temperature_trace), and with them each
+    wire's branch and anchor temperature after every step
+    (sma._branch_trace); a step that switches branch anchors at the xi it
+    starts from.  Sample 0 is initial itself, theta included, so a drive
+    split at any sample and continued from the first part's final_state
+    gives the unsplit trace bit for bit; an empty drive returns initial's
+    wires unchanged.  Raises NumericError at the first sample whose
+    temperature is non-finite.
 
     Two shortcuts leave every bit as the step-by-step loop gives it:
 
     * _balance is a pure function of the xi pair, so it is solved only at
       the first step and when the pair differs from the last pair solved.
-    * Dormant stretches are skipped.  Once a step leaves xi = anchor_xi = 1
-      on both wires (so the balance was last solved for (1, 1)), each wire
-      at or below its stress-shifted A_s, and a wire on the heating branch
-      anchored at or below it too, every later step whose two temperatures
-      stay at or below A_s keeps xi = 1 exactly: heating gives
-      1 * 1.0 / 1.0, cooling 1 - 0 * x / d, and neither envelope clamp can
-      fire.  Such steps change only the branch and its anchor temperature,
-      which follow from the temperatures alone (sma._branch_switches), so
-      their records are filled by slice up to the first step that exceeds
-      A_s.
+    * Dormant stretches are skipped.  Once a step n leaves
+      xi = anchor_xi = 1 on both wires (so the balance was last solved for
+      (1, 1)), and each wire's temps[n] and, on the heating branch,
+      anchors[n] are at or below its stress-shifted A_s, every later step
+      whose two temperatures stay at or below A_s keeps xi = 1 exactly
+      (sma._phase_step).  Such steps change only the branch and anchor
+      temperature, which the arrays already hold, so the records are
+      filled by slice up to the first step that exceeds A_s, and the
+      branch is read there.
     """
     i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
@@ -251,19 +253,22 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     top, bottom = initial.top, initial.bottom
     temps_t = temperature_trace(i_t, top.temperature, props, env, dt)
     temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt)
-    bad = np.flatnonzero(~(np.isfinite(temps_t[1:]) & np.isfinite(temps_b[1:])))
-    if bad.size:
-        raise NumericError(f"state became non-finite at sample {bad[0]}")
-    trace_t, trace_b = memoryview(temps_t), memoryview(temps_b)   # read as Python floats
+    _require_finite(temps_t, temps_b)
+    branches_t, anchors_t = _branch_trace(temps_t, top.t_prev, top.branch, top.anchor_t)
+    branches_b, anchors_b = _branch_trace(temps_b, bottom.t_prev, bottom.branch, bottom.anchor_t)
+    # read as Python floats and ints
+    trace_t, trace_b = memoryview(temps_t), memoryview(temps_b)
+    br_trace_t, br_trace_b = memoryview(branches_t), memoryview(branches_b)
+    anc_trace_t, anc_trace_b = memoryview(anchors_t), memoryview(anchors_b)
 
     balance = _balance(geom, props)
-    xi_t, anc_xi_t, anc_t_t, br_t, prev_t = _scalar_state(top)
-    xi_b, anc_xi_b, anc_t_b, br_b, prev_b = _scalar_state(bottom)
+    xi_t, anc_xi_t, br_t = top.xi, top.anchor_xi, top.branch
+    xi_b, anc_xi_b, br_b = bottom.xi, bottom.anchor_xi, bottom.branch
     theta, sigma_t, sigma_b = initial.theta, top.sigma, bottom.sigma
     m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
     m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
     solved_t = solved_b = None     # the xi pair of the last balance solved
-    dormant = None                 # (exceeding steps, top switches, bottom switches)
+    exceeding = None               # the steps after which a wire is above A_s at (1, 1)
 
     size = i_t.size
     out_theta, out_xi_t, out_xi_b, out_sig_t, out_sig_b = (np.empty(size) for _ in range(5))
@@ -279,12 +284,14 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
         n += 1
         temp_t = trace_t[n]
         temp_b = trace_b[n]
-        xi_t, anc_xi_t, anc_t_t, br_t = _phase_step(
-            xi_t, temp_t, prev_t, anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
-        xi_b, anc_xi_b, anc_t_b, br_b = _phase_step(
-            xi_b, temp_b, prev_b, anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
-        prev_t = temp_t
-        prev_b = temp_b
+        anc_t_t = anc_trace_t[n]
+        anc_t_b = anc_trace_b[n]
+        if br_trace_t[n] != br_t:
+            br_t, anc_xi_t = br_trace_t[n], xi_t
+        if br_trace_b[n] != br_b:
+            br_b, anc_xi_b = br_trace_b[n], xi_b
+        xi_t = _phase_step(xi_t, temp_t, anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
+        xi_b = _phase_step(xi_b, temp_b, anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
 
         if xi_t != solved_t or xi_b != solved_b:
             solved_t, solved_b = xi_t, xi_b
@@ -298,11 +305,8 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
                 and temp_t <= a_s_t and temp_b <= a_s_b
                 and (br_t != BRANCH_HEATING or anc_t_t <= a_s_t)
                 and (br_b != BRANCH_HEATING or anc_t_b <= a_s_b)):
-            if dormant is None:
-                dormant = (np.flatnonzero((temps_t[1:] > a_s_t) | (temps_b[1:] > a_s_b)),
-                           _branch_switches(temps_t, top.t_prev, top.branch),
-                           _branch_switches(temps_b, bottom.t_prev, bottom.branch))
-            exceeding, switches_t, switches_b = dormant
+            if exceeding is None:
+                exceeding = np.flatnonzero((temps_t[1:] > a_s_t) | (temps_b[1:] > a_s_b))
             k = exceeding.searchsorted(n)
             end = int(exceeding[k]) if k < exceeding.size else size
             out_theta[n:end] = theta
@@ -310,15 +314,13 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
             out_xi_b[n:end] = 1.0
             out_sig_t[n:end] = sigma_t
             out_sig_b[n:end] = sigma_b
-            br_t, anc_t_t = _branch_after(switches_t, n, end, temps_t, br_t, anc_t_t)
-            br_b, anc_t_b = _branch_after(switches_b, n, end, temps_b, br_b, anc_t_b)
-            prev_t = trace_t[end]
-            prev_b = trace_b[end]
+            br_t = br_trace_t[end]
+            br_b = br_trace_b[end]
             n = end
 
     final = ActuatorState(
-        top=_wire_state(float(temps_t[-1]), xi_t, anc_xi_t, anc_t_t, br_t, sigma_t),
-        bottom=_wire_state(float(temps_b[-1]), xi_b, anc_xi_b, anc_t_b, br_b, sigma_b),
+        top=_final_wire(top, temps_t, branches_t, anchors_t, xi_t, anc_xi_t, sigma_t),
+        bottom=_final_wire(bottom, temps_b, branches_b, anchors_b, xi_b, anc_xi_b, sigma_b),
         theta=theta, delta=geom.g_tip * theta)
     return DisplacementTrace(
         t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,

@@ -29,9 +29,10 @@ martensite fraction xi.  Three laws compose:
 The branch a wire is on depends on the temperatures only through the
 sign of each step's temperature change, so the branch, and the
 temperature at which it last switched, follow from the temperature trace
-alone (_branch_switches).  mechanics.simulate_drive uses this to skip
-stretches in which both wires stay fully martensitic; its docstring
-gives the conditions under which that skip is exact.
+alone (_branch_trace), and both stepping loops read them from there.
+mechanics.simulate_drive uses this to skip stretches in which both wires
+stay fully martensitic; its docstring gives the conditions under which
+that skip is exact.
 
 Temperatures are kelvin, stresses Pa, strains dimensionless.  Defaults
 are nominal nitinol values for a 38.1 um wire with a 90 C austenite
@@ -192,30 +193,21 @@ def _cooling_shape(temp, m_f_eff, m_s_eff):
     return 0.5 * (math.cos(math.pi * (temp - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0)
 
 
-def _phase_step(xi, temp, t_prev, anchor_xi, anchor_t, branch,
-                m_f_eff, m_s_eff, a_s_eff, a_f_eff):
-    """Advance the hysteresis state machine from t_prev to temperature `temp`.
+def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff, a_f_eff):
+    """xi after a step to temperature `temp` on branch, anchored at (anchor_t, anchor_xi).
 
+    branch and anchor_t are the wire's after the step (_branch_trace);
+    anchor_xi is xi before the step whenever the step switched branch.
     m_f_eff ... a_f_eff is the stress-shifted band, in the order of
     transformation_temperatures.  Minor loops are proportionally rescaled
     copies of the major branch through the reversal anchor, which keeps any
-    partial cycle inside the major loop envelope.  Returns (xi, anchor_xi,
-    anchor_t, branch).
+    partial cycle inside the major loop envelope.  So xi = anchor_xi = 1
+    stays 1 exactly while temp and, on the heating branch, anchor_t are at
+    or below a_s_eff: heating gives 1 * 1.0 / 1.0, cooling 1 - 0 * x / d,
+    and neither envelope clamp can fire.
     """
-    d_t = temp - t_prev
-    if d_t > 0.0:
-        direction = BRANCH_HEATING
-    elif d_t < 0.0:
-        direction = BRANCH_COOLING
-    else:
-        direction = branch
-
     new_xi = xi
-    if direction == BRANCH_HEATING:
-        if branch != BRANCH_HEATING:
-            anchor_xi = xi
-            anchor_t = t_prev
-            branch = BRANCH_HEATING
+    if branch == BRANCH_HEATING:
         denom = _heating_shape(anchor_t, a_s_eff, a_f_eff)
         if denom > 1e-12:
             cand = anchor_xi * _heating_shape(temp, a_s_eff, a_f_eff) / denom
@@ -223,11 +215,7 @@ def _phase_step(xi, temp, t_prev, anchor_xi, anchor_t, branch,
             cand = 0.0
         if cand < new_xi:   # heating never raises xi
             new_xi = cand
-    elif direction == BRANCH_COOLING:
-        if branch != BRANCH_COOLING:
-            anchor_xi = xi
-            anchor_t = t_prev
-            branch = BRANCH_COOLING
+    elif branch == BRANCH_COOLING:
         denom = 1.0 - _cooling_shape(anchor_t, m_f_eff, m_s_eff)
         if denom > 1e-12:
             cand = 1.0 - (1.0 - anchor_xi) * (1.0 - _cooling_shape(temp, m_f_eff, m_s_eff)) / denom
@@ -245,7 +233,7 @@ def _phase_step(xi, temp, t_prev, anchor_xi, anchor_t, branch,
         new_xi = 0.0
     elif new_xi > 1.0:
         new_xi = 1.0
-    return new_xi, anchor_xi, anchor_t, branch
+    return new_xi
 
 
 def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
@@ -286,16 +274,16 @@ def temperature_trace(currents, temperature, props: WireProperties, env: Environ
     return temps
 
 
-def _branch_switches(temps, t_prev, branch):
-    """The steps of a temperature trace at which _phase_step switches branch.
+def _branch_trace(temps, t_prev, branch, anchor_t):
+    """Branch (int8) and anchor temperature (float64) of a wire after 0 ... n steps.
 
-    temps is a temperature_trace, t_prev the temperature that the first
-    step's direction is measured from and branch the branch before it.
-    Returns (steps, branches), ascending, with the branch each switch
-    starts.  Step m switches when its temperature change has a sign and
-    that sign differs from the branch: the branch follows the temperatures
-    alone, whatever xi does, and the switch anchors at temps[m] (t_prev at
-    m = 0).
+    temps is a temperature_trace of n steps, and t_prev, branch and anchor_t
+    are the wire's before its first step; both results align with temps.
+    A step whose temperature change has a sign that differs from the
+    branch switches to that sign's branch and anchors at the temperature
+    the step starts from (t_prev for the first step); a step with no
+    change keeps the branch.  So the branch follows the temperatures alone,
+    whatever xi does.
     """
     change = np.diff(temps)
     change[:1] = temps[1:2] - t_prev
@@ -303,22 +291,11 @@ def _branch_switches(temps, t_prev, branch):
     steps = np.flatnonzero(heating | (change < 0.0))
     branches = np.where(heating[steps], BRANCH_HEATING, BRANCH_COOLING)
     switched = branches != np.concatenate(([branch], branches[:-1]))
-    return steps[switched], branches[switched]
-
-
-def _branch_after(switches, start, end, temps, branch, anchor_t):
-    """(branch, anchor_t) of a wire after steps start ... end - 1 of its trace.
-
-    switches is the _branch_switches of temperature trace temps, and branch
-    and anchor_t are the wire's before step start >= 1.  A switch at step m
-    anchors at temps[m], where the step starts.  Exact only for steps that
-    leave xi and anchor_xi unchanged, since anchor_xi is not tracked.
-    """
-    at, branches = switches
-    k = at.searchsorted(end) - 1
-    if k >= 0 and at[k] >= start:
-        return int(branches[k]), float(temps[at[k]])
-    return branch, anchor_t
+    steps = steps[switched]
+    anchors = np.where(steps == 0, t_prev, temps[steps])
+    counts = np.diff(steps + 1, prepend=0, append=temps.size)
+    return (np.repeat(np.append(branch, branches[switched]).astype(np.int8), counts),
+            np.repeat(np.append(anchor_t, anchors), counts))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +321,20 @@ def _sample_arrays(dt, a, b, names):
     return a, b
 
 
-def _scalar_state(state: WireState):
-    """The (xi, anchor_xi, anchor_t, branch, t_prev) a phase-stepping loop carries."""
-    return state.xi, state.anchor_xi, state.anchor_t, state.branch, state.t_prev
+def _require_finite(*traces):
+    """Raise NumericError at the first step after which any temperature trace is non-finite."""
+    bad = np.flatnonzero(~np.all([np.isfinite(temps[1:]) for temps in traces], axis=0))
+    if bad.size:
+        raise NumericError(f"state became non-finite at sample {bad[0]}")
 
 
-def _wire_state(temp, xi, anchor_xi, anchor_t, branch, sigma) -> WireState:
-    """WireState of a stepping loop's scalar state under tension sigma."""
+def _final_wire(state, temps, branches, anchors, xi, anchor_xi, sigma) -> WireState:
+    """WireState after the steps over temps (and their _branch_trace) from state."""
+    if temps.size == 1:
+        return state
+    temp = float(temps[-1])
     return WireState(temperature=temp, xi=xi, sigma=sigma, anchor_xi=anchor_xi,
-                     anchor_t=anchor_t, branch=branch, t_prev=temp)
+                     anchor_t=float(anchors[-1]), branch=int(branches[-1]), t_prev=temp)
 
 
 def transformation_temperatures(props: WireProperties, sigma: float):
@@ -368,9 +350,13 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     currents and sigmas are same-length sample arrays, each sample held
     over its step.  The temperatures come first (temperature_trace); then
     _phase_step advances xi to each new temperature in the band that the
-    step's stress shifts (transformation_temperatures), as each wire of
-    mechanics.simulate_drive is stepped.  Returns (temperature trace, xi
-    trace, final WireState), the traces holding the state after each step.
+    step's stress shifts, on the branch and anchor temperature that
+    _branch_trace gives, as each wire of mechanics.simulate_drive is
+    stepped; so xi stays 1 wherever that loop skips a stretch (temps and,
+    on the heating branch, anchors at or below the shifted A_s, from
+    xi = anchor_xi = 1).  Returns (temperature trace, xi trace, final
+    WireState), the traces holding the state after each step.  Raises
+    NumericError at the first sample whose temperature is non-finite.
     """
     currents, sigmas = _sample_arrays(dt, currents, sigmas, "currents and sigmas")
     if sigmas.size and sigmas.min() < 0.0:
@@ -378,16 +364,18 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     if state is None:
         state = relaxed_state(props, env)
     temps = temperature_trace(currents, state.temperature, props, env, dt)
-    temp = float(temps[-1])
-    if not math.isfinite(temp):
-        raise NumericError(f"temperature became non-finite: {temp}")
-    xi, anchor_xi, anchor_t, branch, t_prev = _scalar_state(state)
+    _require_finite(temps)
+    branches, anchors = _branch_trace(temps, state.t_prev, state.branch, state.anchor_t)
+    xi, anchor_xi, branch = state.xi, state.anchor_xi, state.branch
     out_xi = np.empty_like(currents)
-    for n, (new_temp, sigma) in enumerate(zip(memoryview(temps)[1:], sigmas.tolist())):
-        xi, anchor_xi, anchor_t, branch = _phase_step(
-            xi, new_temp, t_prev, anchor_xi, anchor_t, branch,
-            *transformation_temperatures(props, sigma))
-        t_prev = new_temp
+    for n, (temp, new_branch, anchor_t, sigma) in enumerate(zip(
+            memoryview(temps)[1:], memoryview(branches)[1:], memoryview(anchors)[1:],
+            sigmas.tolist())):
+        if new_branch != branch:
+            branch, anchor_xi = new_branch, xi
+        xi = _phase_step(xi, temp, anchor_xi, anchor_t, branch,
+                         *transformation_temperatures(props, sigma))
         out_xi[n] = xi
     final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma
-    return temps[1:], out_xi, _wire_state(temp, xi, anchor_xi, anchor_t, branch, final_sigma)
+    return temps[1:], out_xi, _final_wire(state, temps, branches, anchors, xi, anchor_xi,
+                                          final_sigma)

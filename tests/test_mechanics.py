@@ -159,9 +159,9 @@ class TestStepActuator:
     @pytest.mark.parametrize("frequency, duty, mode, split", [
         (1.0, 0.10, "bimorph", 1234), (15.0, 0.10, "bimorph", 4000),
         (2.0, 0.40, "unimorph-up", 2200), (5.0, 0.03, "bimorph", 3000),
-        (1.0, 0.02, "bimorph", 20),
+        (1.0, 0.02, "bimorph", 20), (10.0, 0.10, "bimorph", 800),
     ], ids=["1hz-bimorph-dry", "15hz-bimorph-dry", "2hz-unimorph-up-dry",
-            "5hz-zero-dry", "1hz-2pct-cold-dry"])
+            "5hz-zero-dry", "1hz-2pct-cold-dry", "10hz-top-edge-dry"])
     def test_split_trace_continues_bit_for_bit(self, props, env, geom, circuit,
                                                frequency, duty, mode, split):
         # a drive cut at one sample and continued from the first part's
@@ -169,6 +169,9 @@ class TestStepActuator:
         # 5 Hz/3% never leaves martensite, and 1 Hz/2% is cut inside the
         # martensitic stretch (samples 1 to 34) before the first wire reaches
         # A_s, so both cuts fall inside skipped stretches
+        # 10 Hz/10% is cut where the top current switches on, so the
+        # continuation's first step leaves the cooling branch and anchors at
+        # the stored t_prev
         drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode),
                               circuit, 4.0)
         initial = relaxed_actuator(props, env, geom)
@@ -204,6 +207,13 @@ class TestStepActuator:
                      "xi_bottom", "sigma_top", "sigma_bottom"):
             assert getattr(trace, name).shape == (0,), name
         assert trace.max_residual == 0.0
+        # no step ran, so nothing moves, t_prev included
+        initial = relaxed_actuator(props, env, geom)
+        wire = replace(initial.top, temperature=330.0, t_prev=331.0)
+        initial = replace(initial, top=wire, bottom=wire)
+        trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0,
+                               initial=initial)
+        assert trace.final_state == initial
 
     def test_mirror_symmetry_bitwise(self, props, env, geom, circuit):
         cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)

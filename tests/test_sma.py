@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sma_bimorph import (Environment, WireProperties, WireState, relaxed_state,
-                         simulate_wire, transformation_temperatures, wire_strain)
+from sma_bimorph import (Environment, WireProperties, WireState, relaxed_actuator,
+                         relaxed_state, simulate_wire, transformation_temperatures,
+                         wire_strain)
 from sma_bimorph.errors import NumericError, ParameterError
-from sma_bimorph.sma import BRANCH_COOLING, BRANCH_HEATING, _phase_step
+from sma_bimorph.sma import (BRANCH_COOLING, BRANCH_HEATING, BRANCH_NONE, _branch_trace,
+                             _phase_step)
 
 
 def hold_current(state, current, n, props, env, dt):
@@ -21,9 +23,12 @@ def hold_current(state, current, n, props, env, dt):
 
 def update_phase(state, props):
     """The phase kernel applied at the state's temperature; returns the new state."""
-    xi, anchor_xi, anchor_t, branch = _phase_step(
-        state.xi, state.temperature, state.t_prev, state.anchor_xi, state.anchor_t,
-        state.branch, *transformation_temperatures(props, state.sigma))
+    branches, anchors = _branch_trace(np.array([state.t_prev, state.temperature]),
+                                      state.t_prev, state.branch, state.anchor_t)
+    branch, anchor_t = int(branches[1]), float(anchors[1])
+    anchor_xi = state.xi if branch != state.branch else state.anchor_xi
+    xi = _phase_step(state.xi, state.temperature, anchor_xi, anchor_t, branch,
+                     *transformation_temperatures(props, state.sigma))
     return replace(state, xi=xi, anchor_xi=anchor_xi, anchor_t=anchor_t,
                    branch=branch, t_prev=state.temperature)
 
@@ -85,8 +90,14 @@ class TestThermal:
 
     def test_non_finite_rejected(self, props, env):
         state = replace(relaxed_state(props, env), temperature=math.nan)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"non-finite at sample 0$"):
             hold_current(state, 0.0, 1, props, env, 5e-4)
+
+    def test_overflowing_current_names_its_first_sample(self, props, env):
+        current = np.zeros(100)
+        current[37:] = 1e200
+        with pytest.raises(NumericError, match=r"non-finite at sample 37$"):
+            simulate_wire(current, np.zeros(100), props, env, 5e-4)
 
 
 class TestPhaseKinetics:
@@ -131,6 +142,39 @@ class TestPhaseKinetics:
         assert state.xi == pytest.approx(xi_at_reversal, abs=1e-9)
 
 
+def branch_rule(temps, t_prev, branch, anchor_t):
+    """Branch and anchor temperature after 0 ... n steps, one step at a time."""
+    branches, anchors = [branch], [anchor_t]
+    for temp in temps[1:]:
+        if temp > t_prev and branch != BRANCH_HEATING:
+            branch, anchor_t = BRANCH_HEATING, t_prev
+        elif temp < t_prev and branch != BRANCH_COOLING:
+            branch, anchor_t = BRANCH_COOLING, t_prev
+        branches.append(branch)
+        anchors.append(anchor_t)
+        t_prev = temp
+    return branches, anchors
+
+
+class TestBranchTrace:
+    @given(temps=st.lists(st.sampled_from([300.0, 310.0, 320.5, 330.0]),
+                          min_size=1, max_size=40),
+           branch=st.sampled_from([BRANCH_NONE, BRANCH_HEATING, BRANCH_COOLING]),
+           t_prev=st.one_of(st.none(), st.sampled_from([300.0, 315.0, 330.0])),
+           anchor_t=st.floats(290.0, 380.0))
+    @example(temps=[310.0], branch=BRANCH_HEATING, t_prev=300.0, anchor_t=305.0)
+    @example(temps=[310.0, 310.0, 320.5], branch=BRANCH_NONE, t_prev=None, anchor_t=293.15)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rule(self, temps, branch, t_prev, anchor_t):
+        # repeated values give steps with no change; t_prev None starts at temps[0]
+        if t_prev is None:
+            t_prev = temps[0]
+        branches, anchors = _branch_trace(np.array(temps), t_prev, branch, anchor_t)
+        assert branches.dtype == np.int8 and anchors.dtype == np.float64
+        assert (branches.tolist(), anchors.tolist()) == branch_rule(temps, t_prev, branch,
+                                                                    anchor_t)
+
+
 class TestWireStrain:
     def test_unloaded_austenite(self, props):
         assert wire_strain(0.0, 0.0, props) == 0.0
@@ -159,6 +203,14 @@ class TestStepWire:
         _, _, out = simulate_wire(np.zeros(1), np.zeros(1), props, env, 5e-4, state=state)
         assert out.temperature == state.temperature
         assert out.xi == state.xi == 1.0
+
+    def test_empty_drive_keeps_state(self, props, env, geom):
+        state = replace(relaxed_actuator(props, env, geom).top, temperature=330.0,
+                        t_prev=331.0)
+        temps, xi, final = simulate_wire(np.zeros(0), np.zeros(0), props, env, 5e-4,
+                                         state=state)
+        assert temps.shape == xi.shape == (0,)
+        assert final == state
 
     def _square_wave(self, frequency, duty, duration, dt, i_on=0.25):
         n = int(round(duration / dt))
