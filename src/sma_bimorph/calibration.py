@@ -54,6 +54,8 @@ DEFAULT_BOUNDS = {
 # per target.  The fit stops when it gets there; with g_tip free and a single
 # target reachable inside its bounds, the first evaluation already does.
 LOSS_FLOOR = 1e-24
+INITIAL_STEP = 0.25   # first coordinate step, as a fraction of each bound range
+STEP_FLOOR = 1e-3     # the search has converged once the step halves below this
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,6 @@ class CalibrationProblem:
     budget: int = 150                        # max model evaluations
     run_length: float = RUN_LENGTH           # s per evaluation cell
     steady_window: float = STEADY_WINDOW     # s
-    initial_step: float = 0.25       # fraction of each bound range
-    step_floor: float = 1e-3
 
     def __post_init__(self):
         if not self.free:
@@ -83,8 +83,9 @@ class CalibrationProblem:
         if not self.targets:
             raise ParameterError("at least one target is required")
         for tgt in self.targets:
-            if len(tgt) != 3 or tgt[2] <= 0:
-                raise ParameterError(f"target must be (f, dc, amado_mm > 0), got {tgt}")
+            if len(tgt) != 3 or not (tgt[0] > 0 and 0 <= tgt[1] <= 1 and tgt[2] > 0):
+                raise ParameterError(
+                    f"targets must be (f > 0, 0 <= dc <= 1, amado_mm > 0), got {tgt}")
         if self.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {self.budget}")
         for name in ("run_length", "steady_window"):
@@ -185,7 +186,7 @@ def calibrate(problem: CalibrationProblem, params: CircuitParams,
         return sum(r * r for r in residuals), tuple(residuals), values
 
     best_loss, best_residuals, current = loss_of(start)
-    step = problem.initial_step
+    step = INITIAL_STEP
     converged = best_loss <= LOSS_FLOOR
     while not converged and evaluations < problem.budget:
         improved = False
@@ -208,7 +209,7 @@ def calibrate(problem: CalibrationProblem, params: CircuitParams,
             converged = True
         elif not improved:
             step *= 0.5
-            converged = step < problem.step_floor
+            converged = step < STEP_FLOOR
 
     fitted_props, fitted_env, fitted_geom = apply_parameters(current, props, env, geom)
     return CalibrationResult(parameters=dict(current), residuals=best_residuals,

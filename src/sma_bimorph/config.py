@@ -274,4 +274,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("metrology.steady_window_s: exceeds run_s")
     if cfg.swim_convection_multiplier < 1.0:
         raise ConfigError("swimmer.water_convection_multiplier: must be >= 1")
+    if cfg.swim_drive_frequency <= 0:
+        raise ConfigError("swimmer.drive_frequency_hz: must be > 0")
+    if min(cfg.swim_scan_frequencies) < 0:
+        raise ConfigError("swimmer.scan_frequencies_hz: entries must be >= 0")
     return cfg

@@ -85,7 +85,6 @@ class ActuatorState:
     top: WireState
     bottom: WireState
     theta: float = 0.0
-    delta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -146,11 +145,10 @@ def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
 def relaxed_actuator(props: WireProperties, env: Environment,
                      geom: ActuatorGeometry) -> ActuatorState:
     """Both wire groups martensitic at ambient, beam in torque balance."""
-    wire = relaxed_state(props, env)
+    wire = relaxed_state(env)
     eq = solve_equilibrium(wire, wire, geom, props)
     return ActuatorState(top=replace(wire, sigma=eq.sigma_top),
-                         bottom=replace(wire, sigma=eq.sigma_bottom),
-                         theta=eq.theta, delta=eq.delta)
+                         bottom=replace(wire, sigma=eq.sigma_bottom), theta=eq.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +227,9 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     (sma._branch_trace); a step that switches branch anchors at the xi it
     starts from.  Sample 0 is initial itself, theta included, so a drive
     split at any sample and continued from the first part's final_state
-    gives the unsplit trace bit for bit; an empty drive returns initial's
-    wires unchanged.  Raises NumericError at the first sample whose
-    temperature is non-finite.
+    gives the unsplit trace bit for bit; an empty drive returns initial
+    unchanged, also a hand-built one.  Raises NumericError at the first
+    sample whose temperature is non-finite.
 
     Two shortcuts leave every bit as the step-by-step loop gives it:
 
@@ -254,8 +252,8 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     temps_t = temperature_trace(i_t, top.temperature, props, env, dt)
     temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt)
     _require_finite(temps_t, temps_b)
-    branches_t, anchors_t = _branch_trace(temps_t, top.t_prev, top.branch, top.anchor_t)
-    branches_b, anchors_b = _branch_trace(temps_b, bottom.t_prev, bottom.branch, bottom.anchor_t)
+    branches_t, anchors_t = _branch_trace(temps_t, top.branch, top.anchor_t)
+    branches_b, anchors_b = _branch_trace(temps_b, bottom.branch, bottom.anchor_t)
     # read as Python floats and ints
     trace_t, trace_b = memoryview(temps_t), memoryview(temps_b)
     br_trace_t, br_trace_b = memoryview(branches_t), memoryview(branches_b)
@@ -321,7 +319,7 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     final = ActuatorState(
         top=_final_wire(top, temps_t, branches_t, anchors_t, xi_t, anc_xi_t, sigma_t),
         bottom=_final_wire(bottom, temps_b, branches_b, anchors_b, xi_b, anc_xi_b, sigma_b),
-        theta=theta, delta=geom.g_tip * theta)
+        theta=theta)
     return DisplacementTrace(
         t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,
         theta=out_theta, temp_top=temps_t[:-1], temp_bottom=temps_b[:-1],

@@ -147,8 +147,7 @@ class WireState:
 
     anchor_xi / anchor_t record the martensite fraction and temperature at
     the most recent heating/cooling reversal; together with the branch flag
-    they carry the minor-loop history.  t_prev is the temperature at the
-    previous phase evaluation and defines the heating/cooling direction.
+    they carry the minor-loop history.
     """
 
     temperature: float     # K
@@ -157,7 +156,6 @@ class WireState:
     anchor_xi: float = 1.0
     anchor_t: float = 293.15
     branch: int = BRANCH_NONE
-    t_prev: float = 293.15
 
     def __post_init__(self):
         if not 0.0 <= self.xi <= 1.0:
@@ -166,10 +164,10 @@ class WireState:
             raise ParameterError(f"sigma must be >= 0 (wires cannot push), got {self.sigma}")
 
 
-def relaxed_state(props: WireProperties, env: Environment) -> WireState:
+def relaxed_state(env: Environment) -> WireState:
     """Fully martensitic wire at ambient temperature, no stress history."""
     return WireState(temperature=env.t_amb, xi=1.0, sigma=0.0, anchor_xi=1.0,
-                     anchor_t=env.t_amb, branch=BRANCH_NONE, t_prev=env.t_amb)
+                     anchor_t=env.t_amb, branch=BRANCH_NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +272,26 @@ def temperature_trace(currents, temperature, props: WireProperties, env: Environ
     return temps
 
 
-def _branch_trace(temps, t_prev, branch, anchor_t):
+def _branch_trace(temps, branch, anchor_t):
     """Branch (int8) and anchor temperature (float64) of a wire after 0 ... n steps.
 
-    temps is a temperature_trace of n steps, and t_prev, branch and anchor_t
-    are the wire's before its first step; both results align with temps.
-    A step whose temperature change has a sign that differs from the
-    branch switches to that sign's branch and anchors at the temperature
-    the step starts from (t_prev for the first step); a step with no
+    temps is a temperature_trace of n steps, starting at the wire's
+    temperature, and branch and anchor_t are the wire's before its first
+    step; both results align with temps.  A step whose temperature change
+    has a sign that differs from the branch switches to that sign's branch
+    and anchors at the temperature the step starts from; a step with no
     change keeps the branch.  So the branch follows the temperatures alone,
     whatever xi does.
     """
     change = np.diff(temps)
-    change[:1] = temps[1:2] - t_prev
     heating = change > 0.0
     steps = np.flatnonzero(heating | (change < 0.0))
     branches = np.where(heating[steps], BRANCH_HEATING, BRANCH_COOLING)
     switched = branches != np.concatenate(([branch], branches[:-1]))
     steps = steps[switched]
-    anchors = np.where(steps == 0, t_prev, temps[steps])
     counts = np.diff(steps + 1, prepend=0, append=temps.size)
     return (np.repeat(np.append(branch, branches[switched]).astype(np.int8), counts),
-            np.repeat(np.append(anchor_t, anchors), counts))
+            np.repeat(np.append(anchor_t, temps[steps]), counts))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +328,8 @@ def _final_wire(state, temps, branches, anchors, xi, anchor_xi, sigma) -> WireSt
     """WireState after the steps over temps (and their _branch_trace) from state."""
     if temps.size == 1:
         return state
-    temp = float(temps[-1])
-    return WireState(temperature=temp, xi=xi, sigma=sigma, anchor_xi=anchor_xi,
-                     anchor_t=float(anchors[-1]), branch=int(branches[-1]), t_prev=temp)
+    return WireState(temperature=float(temps[-1]), xi=xi, sigma=sigma, anchor_xi=anchor_xi,
+                     anchor_t=float(anchors[-1]), branch=int(branches[-1]))
 
 
 def transformation_temperatures(props: WireProperties, sigma: float):
@@ -362,10 +357,10 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     if sigmas.size and sigmas.min() < 0.0:
         raise ParameterError(f"sigmas must be >= 0 (wires cannot push), got {sigmas.min()}")
     if state is None:
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
     temps = temperature_trace(currents, state.temperature, props, env, dt)
     _require_finite(temps)
-    branches, anchors = _branch_trace(temps, state.t_prev, state.branch, state.anchor_t)
+    branches, anchors = _branch_trace(temps, state.branch, state.anchor_t)
     xi, anchor_xi, branch = state.xi, state.anchor_xi, state.branch
     out_xi = np.empty_like(currents)
     for n, (temp, new_branch, anchor_t, sigma) in enumerate(zip(

@@ -160,7 +160,7 @@ def test_criterion_08_thermal_oracle(props, env):
     n = int(1.0 / coarse_dt)
     worst = 0.0
     for current, t0 in ((0.25, env.t_amb), (0.0, env.t_amb + 100.0)):
-        state0 = replace(relaxed_state(props, env), temperature=t0, t_prev=t0)
+        state0 = replace(relaxed_state(env), temperature=t0)
         cur_c = np.full(n, current)
         cur_d = np.full(n * stride, current)
         zeros_c, zeros_d = np.zeros(n), np.zeros(n * stride)
@@ -171,7 +171,7 @@ def test_criterion_08_thermal_oracle(props, env):
         worst = max(worst, np.abs(temp_c - sampled).max() / scale)
 
     # energy balance on the coarse heating trajectory
-    state0 = relaxed_state(props, env)
+    state0 = relaxed_state(env)
     currents = np.full(n, 0.25)
     temps, _, _ = simulate_wire(currents, np.zeros(n), props, env, coarse_dt,
                                 state=state0)
@@ -193,12 +193,12 @@ def test_criterion_09_mechanics_oracle(props, env, geom):
     worst = 0.0
     for _ in range(100):
         xi_t, xi_b = rng.uniform(0.0, 1.0, 2)
-        top = replace(relaxed_state(props, env), xi=float(xi_t))
-        bottom = replace(relaxed_state(props, env), xi=float(xi_b))
+        top = replace(relaxed_state(env), xi=float(xi_t))
+        bottom = replace(relaxed_state(env), xi=float(xi_b))
         eq = solve_equilibrium(top, bottom, geom, props)
         oracle = energy_minimum_delta(float(xi_t), float(xi_b), geom, props)
         worst = max(worst, abs(eq.delta - oracle))
-    wire = relaxed_state(props, env)
+    wire = relaxed_state(env)
     symmetric = solve_equilibrium(wire, wire, geom, props)
     hot = replace(wire, xi=0.0)
     fwd = solve_equilibrium(hot, wire, geom, props)

@@ -227,8 +227,13 @@ class TestCliProcess:
         ("drive:\n  sample_rate_hz: 500\n  duration_s: 2\n",
          "drive.sample_rate_hz: must be >= 1000 Hz"),
         ("drive:\n  sample_rate_hz: 150\n", "drive.sample_rate_hz: must be >= 1000 Hz"),
+        ("swimmer:\n  drive_frequency_hz: -1\n", "swimmer.drive_frequency_hz: must be > 0"),
+        ("swimmer:\n  scan_frequencies_hz: [1, -2]\n",
+         "swimmer.scan_frequencies_hz: entries must be >= 0"),
+        ("calibration:\n  targets: [[0, 10, 7.08]]\n", "calibration.targets: targets must be"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
-            "drive-rate-500", "drive-rate-150"])
+            "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
+            "calibration-target-zero-frequency"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

@@ -62,7 +62,7 @@ class TestClearance:
 
 class TestEquilibrium:
     def test_identical_relaxed_wires_balance_at_zero(self, props, env, geom):
-        wire = relaxed_state(props, env)
+        wire = relaxed_state(env)
         eq = solve_equilibrium(wire, wire, geom, props)
         assert eq.theta == 0.0
         assert eq.delta == 0.0
@@ -70,8 +70,8 @@ class TestEquilibrium:
         assert eq.sigma_top > 0.0   # pre-tension
 
     def test_swap_negates_exactly(self, props, env, geom):
-        hot = replace(relaxed_state(props, env), xi=0.0, temperature=420.0)
-        cold = relaxed_state(props, env)
+        hot = replace(relaxed_state(env), xi=0.0, temperature=420.0)
+        cold = relaxed_state(env)
         eq = solve_equilibrium(hot, cold, geom, props)
         swapped = solve_equilibrium(cold, hot, geom, props)
         assert swapped.theta == -eq.theta
@@ -80,8 +80,8 @@ class TestEquilibrium:
         assert swapped.sigma_bottom == eq.sigma_top
 
     def test_full_swing_matches_energy_oracle(self, props, env, geom):
-        hot = replace(relaxed_state(props, env), xi=0.0, temperature=420.0)
-        cold = relaxed_state(props, env)
+        hot = replace(relaxed_state(env), xi=0.0, temperature=420.0)
+        cold = relaxed_state(env)
         eq = solve_equilibrium(hot, cold, geom, props)
         oracle = energy_minimum_delta(0.0, 1.0, geom, props)
         assert abs(eq.delta - oracle) < 1e-6
@@ -95,16 +95,16 @@ class TestEquilibrium:
             rng = np.random.default_rng(7)
             for _ in range(25):
                 xi_t, xi_b = rng.uniform(0.0, 1.0, 2)
-                top = replace(relaxed_state(wire_props, env), xi=xi_t)
-                bottom = replace(relaxed_state(wire_props, env), xi=xi_b)
+                top = replace(relaxed_state(env), xi=xi_t)
+                bottom = replace(relaxed_state(env), xi=xi_b)
                 eq = solve_equilibrium(top, bottom, geom, wire_props)
                 oracle = energy_minimum_delta(xi_t, xi_b, geom, wire_props)
                 assert abs(eq.delta - oracle) < 1e-6
                 assert eq.sigma_top >= 0.0 and eq.sigma_bottom >= 0.0
 
     def test_tension_only(self, props, env, geom):
-        hot = replace(relaxed_state(props, env), xi=0.0)
-        cold = relaxed_state(props, env)
+        hot = replace(relaxed_state(env), xi=0.0)
+        cold = relaxed_state(env)
         eq = solve_equilibrium(hot, cold, geom, props)
         assert eq.sigma_top >= 0.0 and eq.sigma_bottom >= 0.0
 
@@ -151,10 +151,9 @@ class TestStepActuator:
         drive = make_pwm_pair(PwmConfig(frequency=5.0, duty_cycle=0.10), circuit, 1.0)
         final = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0).final_state
         for wire in (final.top, final.bottom):
-            for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t", "t_prev"):
+            for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t"):
                 assert type(getattr(wire, name)) is float, name
         assert type(final.theta) is float
-        assert type(final.delta) is float
 
     @pytest.mark.parametrize("frequency, duty, mode, split", [
         (1.0, 0.10, "bimorph", 1234), (15.0, 0.10, "bimorph", 4000),
@@ -171,7 +170,7 @@ class TestStepActuator:
         # A_s, so both cuts fall inside skipped stretches
         # 10 Hz/10% is cut where the top current switches on, so the
         # continuation's first step leaves the cooling branch and anchors at
-        # the stored t_prev
+        # the stored temperature
         drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode),
                               circuit, 4.0)
         initial = relaxed_actuator(props, env, geom)
@@ -207,10 +206,14 @@ class TestStepActuator:
                      "xi_bottom", "sigma_top", "sigma_bottom"):
             assert getattr(trace, name).shape == (0,), name
         assert trace.max_residual == 0.0
-        # no step ran, so nothing moves, t_prev included
+        # no step ran, so nothing moves, also in states built by hand
         initial = relaxed_actuator(props, env, geom)
-        wire = replace(initial.top, temperature=330.0, t_prev=331.0)
+        wire = replace(initial.top, temperature=330.0)
         initial = replace(initial, top=wire, bottom=wire)
+        trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0,
+                               initial=initial)
+        assert trace.final_state == initial
+        initial = replace(relaxed_actuator(props, env, geom), theta=0.01)
         trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0,
                                initial=initial)
         assert trace.final_state == initial

@@ -21,16 +21,16 @@ def hold_current(state, current, n, props, env, dt):
     return temps[-1]
 
 
-def update_phase(state, props):
-    """The phase kernel applied at the state's temperature; returns the new state."""
-    branches, anchors = _branch_trace(np.array([state.t_prev, state.temperature]),
-                                      state.t_prev, state.branch, state.anchor_t)
+def update_phase(state, temperature, props):
+    """The phase kernel applied over one step from the state's temperature to temperature."""
+    branches, anchors = _branch_trace(np.array([state.temperature, temperature]),
+                                      state.branch, state.anchor_t)
     branch, anchor_t = int(branches[1]), float(anchors[1])
     anchor_xi = state.xi if branch != state.branch else state.anchor_xi
-    xi = _phase_step(state.xi, state.temperature, anchor_xi, anchor_t, branch,
+    xi = _phase_step(state.xi, temperature, anchor_xi, anchor_t, branch,
                      *transformation_temperatures(props, state.sigma))
-    return replace(state, xi=xi, anchor_xi=anchor_xi, anchor_t=anchor_t,
-                   branch=branch, t_prev=state.temperature)
+    return replace(state, temperature=temperature, xi=xi, anchor_xi=anchor_xi,
+                   anchor_t=anchor_t, branch=branch)
 
 
 def heating_envelope(temp, sigma, props):
@@ -55,14 +55,14 @@ def cooling_envelope(temp, sigma, props):
 
 class TestThermal:
     def test_equilibrium_is_fixed_point(self, props, env):
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
         assert hold_current(state, 0.0, 1, props, env, 5e-4) == state.temperature
 
     def test_cooling_matches_exponential_oracle(self, props, env):
         # closed form: T_amb + dT0 * exp(-t/tau), tau = m c_p / (h A_lat)
         tau = props.time_constant(env)
         dt = 5e-4
-        state = replace(relaxed_state(props, env), temperature=env.t_amb + 100.0)
+        state = replace(relaxed_state(env), temperature=env.t_amb + 100.0)
         n = int(1.0 / dt)
         temp = hold_current(state, 0.0, n, props, env, dt)
         expected = env.t_amb + 100.0 * math.exp(-n * dt / tau)
@@ -75,21 +75,21 @@ class TestThermal:
         dt_ss = i ** 2 * props.resistance / h_area
         tau = props.time_constant(env)
         dt = 5e-4
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
         n = int(2.0 / dt)
         temp = hold_current(state, i, n, props, env, dt)
         expected = env.t_amb + dt_ss * (1.0 - math.exp(-n * dt / tau))
         assert abs(temp - expected) / dt_ss < 1e-4
 
     def test_step_size_guard(self, props, env):
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
         with pytest.raises(ParameterError):
             hold_current(state, 0.0, 1, props, env, 2e-3)
         with pytest.raises(ParameterError):
             hold_current(state, 0.0, 1, props, env, 0.0)
 
     def test_non_finite_rejected(self, props, env):
-        state = replace(relaxed_state(props, env), temperature=math.nan)
+        state = replace(relaxed_state(env), temperature=math.nan)
         with pytest.raises(NumericError, match=r"non-finite at sample 0$"):
             hold_current(state, 0.0, 1, props, env, 5e-4)
 
@@ -102,27 +102,26 @@ class TestThermal:
 
 class TestPhaseKinetics:
     def test_full_martensite_below_m_f(self, props, env):
-        state = replace(relaxed_state(props, env), xi=0.3, temperature=300.0,
-                        t_prev=310.0)
-        assert update_phase(state, props).xi == 1.0
+        state = replace(relaxed_state(env), xi=0.3, temperature=310.0)
+        assert update_phase(state, 300.0, props).xi == 1.0
 
     def test_full_austenite_above_a_f(self, props, env):
-        state = replace(relaxed_state(props, env), temperature=380.0, t_prev=300.0)
-        assert update_phase(state, props).xi == 0.0
+        state = replace(relaxed_state(env), temperature=300.0)
+        assert update_phase(state, 380.0, props).xi == 0.0
 
     def test_half_cosine_midpoint(self, props, env):
         # heating from a full-martensite anchor below the band
         mid = (props.a_s + props.a_f) / 2.0
-        state = WireState(temperature=mid, xi=1.0, sigma=0.0, anchor_xi=1.0,
-                          anchor_t=300.0, branch=BRANCH_HEATING, t_prev=mid - 1.0)
-        assert update_phase(state, props).xi == pytest.approx(0.5, abs=1e-12)
+        state = WireState(temperature=mid - 1.0, xi=1.0, sigma=0.0, anchor_xi=1.0,
+                          anchor_t=300.0, branch=BRANCH_HEATING)
+        assert update_phase(state, mid, props).xi == pytest.approx(0.5, abs=1e-12)
 
     def test_stress_shift_delays_heating_transformation(self, props, env):
         mid = (props.a_s + props.a_f) / 2.0
-        base = WireState(temperature=mid, xi=1.0, anchor_xi=1.0, anchor_t=300.0,
-                         branch=BRANCH_HEATING, t_prev=mid - 1.0)
+        base = WireState(temperature=mid - 1.0, xi=1.0, anchor_xi=1.0, anchor_t=300.0,
+                         branch=BRANCH_HEATING)
         loaded = replace(base, sigma=200e6)
-        assert update_phase(loaded, props).xi > update_phase(base, props).xi
+        assert update_phase(loaded, mid, props).xi > update_phase(base, mid, props).xi
 
     def test_transformation_temperatures_increase_with_stress(self, props):
         lo = transformation_temperatures(props, 0.0)
@@ -131,28 +130,27 @@ class TestPhaseKinetics:
 
     def test_minor_loop_reanchors_on_reversal(self, props, env):
         # heat into the band, reverse, cool: xi must not jump
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
         temps_up = np.linspace(env.t_amb, 355.0, 400)
         for t in temps_up[1:]:
-            state = update_phase(replace(state, temperature=t), props)
+            state = update_phase(state, t, props)
         xi_at_reversal = state.xi
         assert 0.0 < xi_at_reversal < 1.0
-        state = update_phase(replace(state, temperature=354.8), props)
+        state = update_phase(state, 354.8, props)
         assert state.branch == BRANCH_COOLING
         assert state.xi == pytest.approx(xi_at_reversal, abs=1e-9)
 
 
-def branch_rule(temps, t_prev, branch, anchor_t):
+def branch_rule(temps, branch, anchor_t):
     """Branch and anchor temperature after 0 ... n steps, one step at a time."""
     branches, anchors = [branch], [anchor_t]
-    for temp in temps[1:]:
+    for t_prev, temp in zip(temps, temps[1:]):
         if temp > t_prev and branch != BRANCH_HEATING:
             branch, anchor_t = BRANCH_HEATING, t_prev
         elif temp < t_prev and branch != BRANCH_COOLING:
             branch, anchor_t = BRANCH_COOLING, t_prev
         branches.append(branch)
         anchors.append(anchor_t)
-        t_prev = temp
     return branches, anchors
 
 
@@ -160,19 +158,15 @@ class TestBranchTrace:
     @given(temps=st.lists(st.sampled_from([300.0, 310.0, 320.5, 330.0]),
                           min_size=1, max_size=40),
            branch=st.sampled_from([BRANCH_NONE, BRANCH_HEATING, BRANCH_COOLING]),
-           t_prev=st.one_of(st.none(), st.sampled_from([300.0, 315.0, 330.0])),
            anchor_t=st.floats(290.0, 380.0))
-    @example(temps=[310.0], branch=BRANCH_HEATING, t_prev=300.0, anchor_t=305.0)
-    @example(temps=[310.0, 310.0, 320.5], branch=BRANCH_NONE, t_prev=None, anchor_t=293.15)
+    @example(temps=[310.0], branch=BRANCH_HEATING, anchor_t=305.0)
+    @example(temps=[310.0, 310.0, 320.5], branch=BRANCH_NONE, anchor_t=293.15)
     @settings(max_examples=300, deadline=None)
-    def test_matches_scalar_rule(self, temps, branch, t_prev, anchor_t):
-        # repeated values give steps with no change; t_prev None starts at temps[0]
-        if t_prev is None:
-            t_prev = temps[0]
-        branches, anchors = _branch_trace(np.array(temps), t_prev, branch, anchor_t)
+    def test_matches_scalar_rule(self, temps, branch, anchor_t):
+        # repeated values give steps with no change
+        branches, anchors = _branch_trace(np.array(temps), branch, anchor_t)
         assert branches.dtype == np.int8 and anchors.dtype == np.float64
-        assert (branches.tolist(), anchors.tolist()) == branch_rule(temps, t_prev, branch,
-                                                                    anchor_t)
+        assert (branches.tolist(), anchors.tolist()) == branch_rule(temps, branch, anchor_t)
 
 
 class TestWireStrain:
@@ -199,14 +193,13 @@ class TestWireStrain:
 
 class TestStepWire:
     def test_relaxed_fixed_point(self, props, env):
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
         _, _, out = simulate_wire(np.zeros(1), np.zeros(1), props, env, 5e-4, state=state)
         assert out.temperature == state.temperature
         assert out.xi == state.xi == 1.0
 
     def test_empty_drive_keeps_state(self, props, env, geom):
-        state = replace(relaxed_actuator(props, env, geom).top, temperature=330.0,
-                        t_prev=331.0)
+        state = replace(relaxed_actuator(props, env, geom).top, temperature=330.0)
         temps, xi, final = simulate_wire(np.zeros(0), np.zeros(0), props, env, 5e-4,
                                          state=state)
         assert temps.shape == xi.shape == (0,)
@@ -318,7 +311,7 @@ class TestVectorScalarConsistency:
         currents = rng.uniform(0.0, 0.25, n)
         sigmas = rng.uniform(0.0, 300e6, n)
         temps, xi, final = simulate_wire(currents, sigmas, props, env, 5e-4)
-        state = relaxed_state(props, env)
+        state = relaxed_state(env)
         for k in range(n):
             _, _, state = simulate_wire(currents[k:k + 1], sigmas[k:k + 1],
                                         props, env, 5e-4, state=state)
@@ -331,7 +324,7 @@ class TestVectorScalarConsistency:
         currents = rng.uniform(0.0, 0.25, 400)
         sigmas = rng.uniform(0.0, 300e6, 400)
         final = simulate_wire(currents, sigmas, props, env, 5e-4)[2]
-        for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t", "t_prev"):
+        for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t"):
             assert type(getattr(final, name)) is float, name
 
 
