@@ -272,6 +272,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"metrology.steady_window_s: must be > 0, got {cfg.steady_window}")
     if cfg.steady_window > cfg.run_length:
         raise ConfigError("metrology.steady_window_s: exceeds run_s")
+    if not all(f > 0 for f in cfg.sweep_frequencies):
+        raise ConfigError("metrology.frequencies_hz: entries must be > 0")
+    if not all(0 <= dc <= 1 for dc in cfg.sweep_duty_cycles):
+        raise ConfigError("metrology.duty_cycles_pct: entries must be in [0, 100]")
     if cfg.swim_convection_multiplier < 1.0:
         raise ConfigError("swimmer.water_convection_multiplier: must be >= 1")
     if cfg.swim_drive_frequency <= 0:

@@ -34,7 +34,7 @@ below the elastic ones, so the beam is always in quasi-static balance.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,10 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class ActuatorState:
+    """The two wire groups; theta and the stresses are the balance of their xi pair."""
+
     top: WireState
     bottom: WireState
-    theta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,10 @@ def solve_equilibrium(top: WireState, bottom: WireState, geom: ActuatorGeometry,
                              residual=resid, iterations=1)
 
 
-def relaxed_actuator(props: WireProperties, env: Environment,
-                     geom: ActuatorGeometry) -> ActuatorState:
-    """Both wire groups martensitic at ambient, beam in torque balance."""
+def relaxed_actuator(env: Environment) -> ActuatorState:
+    """Both wire groups martensitic at ambient (the beam balances at theta = 0)."""
     wire = relaxed_state(env)
-    eq = solve_equilibrium(wire, wire, geom, props)
-    return ActuatorState(top=replace(wire, sigma=eq.sigma_top),
-                         bottom=replace(wire, sigma=eq.sigma_bottom), theta=eq.theta)
+    return ActuatorState(top=wire, bottom=wire)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +223,11 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     traces are computed first (sma.temperature_trace), and with them each
     wire's branch and anchor temperature after every step
     (sma._branch_trace); a step that switches branch anchors at the xi it
-    starts from.  Sample 0 is initial itself, theta included, so a drive
-    split at any sample and continued from the first part's final_state
-    gives the unsplit trace bit for bit; an empty drive returns initial
-    unchanged, also a hand-built one.  Raises NumericError at the first
-    sample whose temperature is non-finite.
+    starts from.  Sample 0 holds the initial wires and the balance of
+    their xi pair, so a drive split at any sample and continued from the
+    first part's final_state gives the unsplit trace bit for bit; an empty
+    drive returns initial unchanged, also a hand-built one.  Raises
+    NumericError at the first sample whose temperature is non-finite.
 
     Two shortcuts leave every bit as the step-by-step loop gives it:
 
@@ -247,7 +245,7 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     """
     i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
-        initial = relaxed_actuator(props, env, geom)
+        initial = relaxed_actuator(env)
     top, bottom = initial.top, initial.bottom
     temps_t = temperature_trace(i_t, top.temperature, props, env, dt)
     temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt)
@@ -262,7 +260,7 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     balance = _balance(geom, props)
     xi_t, anc_xi_t, br_t = top.xi, top.anchor_xi, top.branch
     xi_b, anc_xi_b, br_b = bottom.xi, bottom.anchor_xi, bottom.branch
-    theta, sigma_t, sigma_b = initial.theta, top.sigma, bottom.sigma
+    theta, sigma_t, sigma_b, _ = balance(top.xi, bottom.xi)
     m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
     m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
     solved_t = solved_b = None     # the xi pair of the last balance solved
@@ -317,9 +315,8 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
             n = end
 
     final = ActuatorState(
-        top=_final_wire(top, temps_t, branches_t, anchors_t, xi_t, anc_xi_t, sigma_t),
-        bottom=_final_wire(bottom, temps_b, branches_b, anchors_b, xi_b, anc_xi_b, sigma_b),
-        theta=theta)
+        top=_final_wire(top, temps_t, branches_t, anchors_t, xi_t, anc_xi_t),
+        bottom=_final_wire(bottom, temps_b, branches_b, anchors_b, xi_b, anc_xi_b))
     return DisplacementTrace(
         t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,
         theta=out_theta, temp_top=temps_t[:-1], temp_bottom=temps_b[:-1],
@@ -336,4 +333,4 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
             f"duration {duration} s must cover at least two periods of {cfg.frequency} Hz")
     drive = make_pwm_pair(cfg, params, duration)
     return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / cfg.sample_rate,
-                          initial=relaxed_actuator(props, env, geom))
+                          initial=relaxed_actuator(env))

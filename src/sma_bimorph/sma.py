@@ -147,26 +147,26 @@ class WireState:
 
     anchor_xi / anchor_t record the martensite fraction and temperature at
     the most recent heating/cooling reversal; together with the branch flag
-    they carry the minor-loop history.
+    they carry the minor-loop history.  Stress is not state: simulate_wire
+    takes it per sample, and mechanics.simulate_drive derives it from the
+    torque balance of the xi pair.
     """
 
     temperature: float     # K
     xi: float              # martensite fraction
-    sigma: float = 0.0     # Pa, tensile
     anchor_xi: float = 1.0
     anchor_t: float = 293.15
     branch: int = BRANCH_NONE
 
     def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise ParameterError(f"xi must be in [0, 1], got {self.xi}")
-        if self.sigma < 0.0:
-            raise ParameterError(f"sigma must be >= 0 (wires cannot push), got {self.sigma}")
+        for name in ("xi", "anchor_xi"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def relaxed_state(env: Environment) -> WireState:
     """Fully martensitic wire at ambient temperature, no stress history."""
-    return WireState(temperature=env.t_amb, xi=1.0, sigma=0.0, anchor_xi=1.0,
+    return WireState(temperature=env.t_amb, xi=1.0, anchor_xi=1.0,
                      anchor_t=env.t_amb, branch=BRANCH_NONE)
 
 
@@ -199,10 +199,13 @@ def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff
     m_f_eff ... a_f_eff is the stress-shifted band, in the order of
     transformation_temperatures.  Minor loops are proportionally rescaled
     copies of the major branch through the reversal anchor, which keeps any
-    partial cycle inside the major loop envelope.  So xi = anchor_xi = 1
-    stays 1 exactly while temp and, on the heating branch, anchor_t are at
-    or below a_s_eff: heating gives 1 * 1.0 / 1.0, cooling 1 - 0 * x / d,
-    and neither envelope clamp can fire.
+    partial cycle inside the major loop envelope.  From xi and anchor_xi
+    in [0, 1] (WireState checks both) the result stays there: the heating
+    candidate is >= 0 and only lowers xi, the cooling one is <= 1 and only
+    raises it.  And xi = anchor_xi = 1 stays 1 exactly while temp and, on
+    the heating branch, anchor_t are at or below a_s_eff: heating gives
+    1 * 1.0 / 1.0, cooling 1 - 0 * x / d, and neither envelope clamp can
+    fire.
     """
     new_xi = xi
     if branch == BRANCH_HEATING:
@@ -226,10 +229,6 @@ def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff
     if temp >= a_f_eff:
         new_xi = 0.0
     if temp <= m_f_eff:
-        new_xi = 1.0
-    if new_xi < 0.0:
-        new_xi = 0.0
-    elif new_xi > 1.0:
         new_xi = 1.0
     return new_xi
 
@@ -324,11 +323,11 @@ def _require_finite(*traces):
         raise NumericError(f"state became non-finite at sample {bad[0]}")
 
 
-def _final_wire(state, temps, branches, anchors, xi, anchor_xi, sigma) -> WireState:
+def _final_wire(state, temps, branches, anchors, xi, anchor_xi) -> WireState:
     """WireState after the steps over temps (and their _branch_trace) from state."""
     if temps.size == 1:
         return state
-    return WireState(temperature=float(temps[-1]), xi=xi, sigma=sigma, anchor_xi=anchor_xi,
+    return WireState(temperature=float(temps[-1]), xi=xi, anchor_xi=anchor_xi,
                      anchor_t=float(anchors[-1]), branch=int(branches[-1]))
 
 
@@ -371,6 +370,4 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
         xi = _phase_step(xi, temp, anchor_xi, anchor_t, branch,
                          *transformation_temperatures(props, sigma))
         out_xi[n] = xi
-    final_sigma = float(sigmas[-1]) if sigmas.size else state.sigma
-    return temps[1:], out_xi, _final_wire(state, temps, branches, anchors, xi, anchor_xi,
-                                          final_sigma)
+    return temps[1:], out_xi, _final_wire(state, temps, branches, anchors, xi, anchor_xi)

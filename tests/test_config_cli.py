@@ -231,9 +231,14 @@ class TestCliProcess:
         ("swimmer:\n  scan_frequencies_hz: [1, -2]\n",
          "swimmer.scan_frequencies_hz: entries must be >= 0"),
         ("calibration:\n  targets: [[0, 10, 7.08]]\n", "calibration.targets: targets must be"),
+        ("metrology:\n  frequencies_hz: [-1, 5]\n",
+         "metrology.frequencies_hz: entries must be > 0"),
+        ("metrology:\n  duty_cycles_pct: [150]\n",
+         "metrology.duty_cycles_pct: entries must be in [0, 100]"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
             "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
-            "calibration-target-zero-frequency"])
+            "calibration-target-zero-frequency", "sweep-frequency-negative",
+            "sweep-duty-cycle-above-100"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sma_bimorph import (PwmConfig, clearance_check, make_pwm_pair,
+from sma_bimorph import (ActuatorState, PwmConfig, clearance_check, make_pwm_pair,
                          relaxed_actuator, run_mode_trace, simulate_wire,
                          solve_equilibrium, tip_envelope)
 from sma_bimorph.errors import ClearanceError, NumericError, ParameterError
@@ -126,7 +126,7 @@ class TestStepActuator:
         # the public equilibrium solved for each recorded xi pair
         cfg = PwmConfig(frequency=frequency, duty_cycle=duty)
         drive = make_pwm_pair(cfg, circuit, 4.0)
-        initial = relaxed_actuator(props, env, geom)
+        initial = relaxed_actuator(env)
         trace = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
                                initial=initial)
         for current, sigma, temp, xi, state in (
@@ -151,9 +151,8 @@ class TestStepActuator:
         drive = make_pwm_pair(PwmConfig(frequency=5.0, duty_cycle=0.10), circuit, 1.0)
         final = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0).final_state
         for wire in (final.top, final.bottom):
-            for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t"):
+            for name in ("temperature", "xi", "anchor_xi", "anchor_t"):
                 assert type(getattr(wire, name)) is float, name
-        assert type(final.theta) is float
 
     @pytest.mark.parametrize("frequency, duty, mode, split", [
         (1.0, 0.10, "bimorph", 1234), (15.0, 0.10, "bimorph", 4000),
@@ -173,7 +172,7 @@ class TestStepActuator:
         # the stored temperature
         drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode),
                               circuit, 4.0)
-        initial = relaxed_actuator(props, env, geom)
+        initial = relaxed_actuator(env)
         whole = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
                                initial=initial)
         head = simulate_drive(drive.i_t[:split], drive.i_b[:split], props, env, geom,
@@ -188,7 +187,7 @@ class TestStepActuator:
         assert max(head.max_residual, tail.max_residual) == whole.max_residual
 
     def test_non_finite_initial_temperature_names_sample_0(self, props, env, geom):
-        initial = relaxed_actuator(props, env, geom)
+        initial = relaxed_actuator(env)
         initial = replace(initial, top=replace(initial.top, temperature=math.nan))
         with pytest.raises(NumericError, match=r"non-finite at sample 0$"):
             simulate_drive(np.zeros(10), np.zeros(10), props, env, geom, 1 / 2000.0,
@@ -207,16 +206,24 @@ class TestStepActuator:
             assert getattr(trace, name).shape == (0,), name
         assert trace.max_residual == 0.0
         # no step ran, so nothing moves, also in states built by hand
-        initial = relaxed_actuator(props, env, geom)
+        initial = relaxed_actuator(env)
         wire = replace(initial.top, temperature=330.0)
         initial = replace(initial, top=wire, bottom=wire)
         trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0,
                                initial=initial)
         assert trace.final_state == initial
-        initial = replace(relaxed_actuator(props, env, geom), theta=0.01)
-        trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0,
+
+    def test_sample_0_is_the_balance_of_the_initial_xi_pair(self, props, env, geom):
+        # the state holds no theta or stress: sample 0 solves them from the xi pair
+        wire = relaxed_state(env)
+        initial = ActuatorState(top=replace(wire, xi=0.3), bottom=wire)
+        trace = simulate_drive(np.zeros(10), np.zeros(10), props, env, geom, 1 / 2000.0,
                                initial=initial)
-        assert trace.final_state == initial
+        eq = solve_equilibrium(initial.top, initial.bottom, geom, props)
+        assert trace.theta[0] == eq.theta != 0.0
+        assert trace.delta[0] == eq.delta
+        assert trace.sigma_top[0] == eq.sigma_top
+        assert trace.sigma_bottom[0] == eq.sigma_bottom
 
     def test_mirror_symmetry_bitwise(self, props, env, geom, circuit):
         cfg = PwmConfig(frequency=5.0, duty_cycle=0.10)

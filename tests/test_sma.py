@@ -21,14 +21,17 @@ def hold_current(state, current, n, props, env, dt):
     return temps[-1]
 
 
-def update_phase(state, temperature, props):
-    """The phase kernel applied over one step from the state's temperature to temperature."""
+def update_phase(state, temperature, props, sigma=0.0):
+    """The phase kernel applied over one step from the state's temperature to temperature.
+
+    sigma is the step's tensile stress, which shifts the transformation band.
+    """
     branches, anchors = _branch_trace(np.array([state.temperature, temperature]),
                                       state.branch, state.anchor_t)
     branch, anchor_t = int(branches[1]), float(anchors[1])
     anchor_xi = state.xi if branch != state.branch else state.anchor_xi
     xi = _phase_step(state.xi, temperature, anchor_xi, anchor_t, branch,
-                     *transformation_temperatures(props, state.sigma))
+                     *transformation_temperatures(props, sigma))
     return replace(state, temperature=temperature, xi=xi, anchor_xi=anchor_xi,
                    anchor_t=anchor_t, branch=branch)
 
@@ -112,16 +115,15 @@ class TestPhaseKinetics:
     def test_half_cosine_midpoint(self, props, env):
         # heating from a full-martensite anchor below the band
         mid = (props.a_s + props.a_f) / 2.0
-        state = WireState(temperature=mid - 1.0, xi=1.0, sigma=0.0, anchor_xi=1.0,
+        state = WireState(temperature=mid - 1.0, xi=1.0, anchor_xi=1.0,
                           anchor_t=300.0, branch=BRANCH_HEATING)
         assert update_phase(state, mid, props).xi == pytest.approx(0.5, abs=1e-12)
 
     def test_stress_shift_delays_heating_transformation(self, props, env):
         mid = (props.a_s + props.a_f) / 2.0
-        base = WireState(temperature=mid - 1.0, xi=1.0, anchor_xi=1.0, anchor_t=300.0,
-                         branch=BRANCH_HEATING)
-        loaded = replace(base, sigma=200e6)
-        assert update_phase(loaded, mid, props).xi > update_phase(base, mid, props).xi
+        state = WireState(temperature=mid - 1.0, xi=1.0, anchor_xi=1.0, anchor_t=300.0,
+                          branch=BRANCH_HEATING)
+        assert update_phase(state, mid, props, 200e6).xi > update_phase(state, mid, props).xi
 
     def test_transformation_temperatures_increase_with_stress(self, props):
         lo = transformation_temperatures(props, 0.0)
@@ -198,8 +200,8 @@ class TestStepWire:
         assert out.temperature == state.temperature
         assert out.xi == state.xi == 1.0
 
-    def test_empty_drive_keeps_state(self, props, env, geom):
-        state = replace(relaxed_actuator(props, env, geom).top, temperature=330.0)
+    def test_empty_drive_keeps_state(self, props, env):
+        state = replace(relaxed_actuator(env).top, temperature=330.0)
         temps, xi, final = simulate_wire(np.zeros(0), np.zeros(0), props, env, 5e-4,
                                          state=state)
         assert temps.shape == xi.shape == (0,)
@@ -324,7 +326,7 @@ class TestVectorScalarConsistency:
         currents = rng.uniform(0.0, 0.25, 400)
         sigmas = rng.uniform(0.0, 300e6, 400)
         final = simulate_wire(currents, sigmas, props, env, 5e-4)[2]
-        for name in ("temperature", "xi", "sigma", "anchor_xi", "anchor_t"):
+        for name in ("temperature", "xi", "anchor_xi", "anchor_t"):
             assert type(getattr(final, name)) is float, name
 
 
@@ -350,3 +352,11 @@ class TestConstitutiveRoundTrip:
 def test_simulate_wire_rejects_negative_stress(props, env):
     with pytest.raises(ParameterError):
         simulate_wire(np.zeros(3), np.array([0.0, -1.0, 0.0]), props, env, 5e-4)
+
+
+@pytest.mark.parametrize("field", ["xi", "anchor_xi"])
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+def test_wire_state_rejects_fraction_outside_unit_interval(field, value):
+    # the phase step keeps xi in [0, 1] only from fractions that start there
+    with pytest.raises(ParameterError, match=f"^{field} must be in"):
+        WireState(temperature=300.0, **{"xi": 1.0, field: value})
