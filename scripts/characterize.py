@@ -35,7 +35,8 @@ def main():
         props, env, geom = fit.props, fit.env, fit.geom
 
     freqs = cfg.sweep_frequencies
-    table = run_sweep(freqs, cfg.sweep_duty_cycles, circuit, props, env, geom)
+    table = run_sweep(freqs, cfg.sweep_duty_cycles, circuit, props, env, geom,
+                      protocol=cfg.protocol)
 
     print("\nf [Hz]   AV_max model [mm]   AV_max bench [mm]")
     for f in freqs:

@@ -30,8 +30,8 @@ def main():
     cfg = parse_config("")   # the swim protocol's defaults
     water = replace(cfg.env, convection_multiplier=cfg.swim_convection_multiplier)
     f_drive = cfg.swim_drive_frequency
-    amado = measure_amado(cfg.pwm, f_drive, cfg.swimmer.duty_cycle, cfg.circuit, cfg.props,
-                          water, cfg.geom, cfg.run_length, cfg.steady_window, cfg.fir).amado
+    amado = measure_amado(cfg.protocol, f_drive, cfg.swimmer.duty_cycle, cfg.circuit,
+                          cfg.props, water, cfg.geom).amado
     amp = cfg.swimmer.tail_gain * (amado * 1e-3) / 2.0
     swimmer = fit_thrust_coefficient(f_drive, amp, MEASURED_SPEED, cfg.swimmer)
     print(f"tail amplitude at {f_drive:g} Hz: {amp:.3f} rad; "

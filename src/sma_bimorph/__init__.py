@@ -9,8 +9,8 @@ from .drive import (CircuitParams, DriveTrace, PowerTrace, PwmConfig, average_po
 from .mechanics import (ActuatorGeometry, ActuatorState, DisplacementTrace,
                         EquilibriumResult, clearance_check, relaxed_actuator,
                         run_mode_trace, solve_equilibrium, tip_envelope)
-from .metrology import (AmadoResult, FirSpec, SweepTable, compute_amado, design_fir,
-                        filter_zero_phase, measure_amado, run_sweep)
+from .metrology import (AmadoResult, FirSpec, Protocol, SweepTable, compute_amado,
+                        design_fir, filter_zero_phase, measure_amado, run_sweep)
 from .sma import (Environment, WireProperties, WireState, relaxed_state, simulate_wire,
                   transformation_temperatures, wire_strain)
 from .swimmer import (SwimmerParams, body_lengths_per_second, fit_thrust_coefficient,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActuatorGeometry", "ActuatorState", "AmadoResult", "CalibrationProblem",
     "CalibrationResult", "CircuitParams", "DisplacementTrace", "DriveTrace",
-    "Environment", "EquilibriumResult", "FirSpec", "PowerTrace", "PwmConfig",
+    "Environment", "EquilibriumResult", "FirSpec", "PowerTrace", "Protocol", "PwmConfig",
     "ScenarioConfig", "SweepTable", "SwimmerParams", "WireProperties",
     "WireState", "apply_parameters", "average_power", "body_lengths_per_second",
     "calibrate", "clearance_check", "compute_amado", "design_fir", "filter_zero_phase",

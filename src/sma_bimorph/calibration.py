@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .drive import CircuitParams, PwmConfig
 from .errors import ParameterError
 from .mechanics import ActuatorGeometry
-from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec, measure_amado
+from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec, Protocol, measure_amado
 # unused here, but perfbench's tracing tests look run_mode_trace up in this module
 from .metrology import run_mode_trace  # noqa: F401
 from .sma import Environment, WireProperties
@@ -88,12 +88,7 @@ class CalibrationProblem:
                     f"targets must be (f > 0, 0 <= dc <= 1, amado_mm > 0), got {tgt}")
         if self.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {self.budget}")
-        for name in ("run_length", "steady_window"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0 s, got {getattr(self, name)}")
-        if self.steady_window > self.run_length:
-            raise ParameterError(f"steady_window {self.steady_window} s exceeds "
-                                 f"run_length {self.run_length} s")
+        Protocol(run_length=self.run_length, steady_window=self.steady_window)
         for name, (lo, hi) in self.bounds.items():
             if hi <= lo:
                 raise ParameterError(f"bounds for {name!r} must satisfy lo < hi")
@@ -130,13 +125,14 @@ def evaluate_targets(targets, params: CircuitParams, props: WireProperties,
                      pwm: PwmConfig = PwmConfig(), fir: FirSpec | None = None):
     """Model AMADO (mm) for every target cell.
 
-    Each cell is cut from the pwm template (see measure_amado); sample_rate,
-    when given, replaces the template's sample rate.
+    The cells are measured under Protocol(pwm, fir, run_length,
+    steady_window); sample_rate, when given, replaces the template's sample
+    rate, and fir defaults to the standard design at that rate.
     """
     if sample_rate is not None:
         pwm = replace(pwm, sample_rate=sample_rate)
-    return [measure_amado(pwm, frequency, duty_cycle, params, props, env, geom,
-                          run_length, steady_window, fir).amado
+    protocol = Protocol(pwm, fir or FirSpec(fs=pwm.sample_rate), run_length, steady_window)
+    return [measure_amado(protocol, frequency, duty_cycle, params, props, env, geom).amado
             for frequency, duty_cycle, _ in targets]
 
 
@@ -145,12 +141,12 @@ def calibrate(problem: CalibrationProblem, params: CircuitParams,
               pwm: PwmConfig = PwmConfig(), fir: FirSpec | None = None) -> CalibrationResult:
     """Minimize the summed squared relative AMADO error over the free set.
 
-    Every evaluation measures the targets with the pwm drive template and
-    the fir design (see measure_amado).  A free g_tip is set in closed form
-    at every evaluation, clamped to its bounds; the coordinate search covers
-    the other free parameters.  Returns the best parameters found;
-    converged is False when the budget ran out before the loss reached
-    LOSS_FLOOR or the coordinate step shrank to the floor.
+    Every evaluation measures the targets under Protocol(pwm, fir,
+    problem.run_length, problem.steady_window) (see evaluate_targets).  A
+    free g_tip is set in closed form at every evaluation, clamped to its
+    bounds; the coordinate search covers the other free parameters.
+    Returns the best parameters found; converged is False when the budget
+    ran out before the loss reached LOSS_FLOOR or the step shrank to the floor.
     """
     names = list(problem.free)
     lo = {n: problem.bound(n)[0] for n in names}

@@ -43,8 +43,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def cmd_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     table = run_sweep(cfg.sweep_frequencies, cfg.sweep_duty_cycles, cfg.circuit,
-                      cfg.props, cfg.env, cfg.geom, run_length=cfg.run_length,
-                      steady_window=cfg.steady_window, fir=cfg.fir, pwm=cfg.pwm)
+                      cfg.props, cfg.env, cfg.geom, protocol=cfg.protocol)
     for (f, dc), message in sorted(table.errors.items()):
         print(f"sweep cell (f={f:g} Hz, DC={dc:g}) failed: {message}", file=sys.stderr)
     return [write_csv(out_dir / f"{cfg.scenario}_sweep.csv", SWEEP_SCHEMA,
@@ -95,9 +94,8 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     # trajectory at the configured drive frequency; the soft tail transmits
     # only the fundamental of the actuator motion, so the swimmer is driven
     # sinusoidally at the amplitude taken from the displacement trace
-    stroke = measure_amado(cfg.pwm, cfg.swim_drive_frequency, cfg.swimmer.duty_cycle,
-                           cfg.circuit, cfg.props, water_env, cfg.geom,
-                           cfg.run_length, cfg.steady_window, cfg.fir)
+    stroke = measure_amado(cfg.protocol, cfg.swim_drive_frequency, cfg.swimmer.duty_cycle,
+                           cfg.circuit, cfg.props, water_env, cfg.geom)
     amp = cfg.swimmer.tail_gain * (stroke.amado * 1e-3) / 2.0
     dt = 1.0 / cfg.pwm.sample_rate
     n = int(round(cfg.steady_window * cfg.pwm.sample_rate))

@@ -4,7 +4,7 @@ The file is a two-level mapping, section -> key -> value.  Unknown
 sections or keys are rejected with the offending key path; every value is
 type-checked and the module invariants run before any simulation starts.
 An empty file (or empty string) yields the characterization protocol the
-hardware used: 2 kHz sampling, 15 V supply / 250 mA on-state, 30 s runs
+hardware used: 2 kHz sampling, a 250 mA on-state, 30 s runs
 with a 15 s steady window, the published frequency and duty-cycle grid.
 Each default is the default of the dataclass field its key maps to.
 """
@@ -16,9 +16,9 @@ import yaml
 
 from .calibration import FREE_PARAMETERS, CalibrationProblem
 from .drive import CircuitParams, PwmConfig
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, WindowError
 from .mechanics import ActuatorGeometry
-from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec
+from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec, Protocol
 from .sma import MAX_STEP, Environment, WireProperties
 from .swimmer import SwimmerParams
 
@@ -49,6 +49,11 @@ class ScenarioConfig:
     out_dir: str = "out"
     warnings: tuple = field(default_factory=tuple)
 
+    @property
+    def protocol(self) -> Protocol:
+        """The protocol every sweep and swim cell is measured under."""
+        return Protocol(self.pwm, self.fir, self.run_length, self.steady_window)
+
 
 def _percent(value):
     return value / 100.0
@@ -68,7 +73,6 @@ _KEYS = {
     "drive": {
         "frequency_hz": ("number", PwmConfig, "frequency", None),
         "duty_cycle_pct": ("number", PwmConfig, "duty_cycle", _percent),
-        "on_height_v": ("number", PwmConfig, "on_height", None),
         "phase_shift": ("number", PwmConfig, "phase_shift", None),
         "mode": ("string", PwmConfig, "mode", None),
         "sample_rate_hz": ("number", PwmConfig, "sample_rate", None),
@@ -106,8 +110,6 @@ _KEYS = {
         "moment_arm_m": ("number", ActuatorGeometry, "r_m", None),
         "beam_stiffness_nm_rad": ("number", ActuatorGeometry, "k_beam", None),
         "tip_gain_m_rad": ("number", ActuatorGeometry, "g_tip", None),
-        "mass_kg": ("number", ActuatorGeometry, "mass", None),
-        "volume_m3": ("number", ActuatorGeometry, "volume", None),
         "mount_offset_m": ("number", ActuatorGeometry, "mount_offset", None),
         "beam_radius_m": ("number", ActuatorGeometry, "beam_radius", None),
         "anchor_standoff_m": ("number", ActuatorGeometry, "anchor_standoff", None),
@@ -266,12 +268,11 @@ def parse_config(text: str) -> ScenarioConfig:
                          warnings=tuple(warnings), **fields.get(ScenarioConfig, {}))
     if cfg.duration <= 0:
         raise ConfigError(f"drive.duration_s: must be > 0, got {cfg.duration}")
-    if cfg.run_length <= 0:
-        raise ConfigError(f"metrology.run_s: must be > 0, got {cfg.run_length}")
-    if cfg.steady_window <= 0:
-        raise ConfigError(f"metrology.steady_window_s: must be > 0, got {cfg.steady_window}")
-    if cfg.steady_window > cfg.run_length:
-        raise ConfigError("metrology.steady_window_s: exceeds run_s")
+    try:
+        protocol = cfg.protocol
+    except ParameterError as exc:
+        key = "run_s" if str(exc).startswith("run_length") else "steady_window_s"
+        raise ConfigError(f"metrology.{key}: {exc}") from exc
     if not all(f > 0 for f in cfg.sweep_frequencies):
         raise ConfigError("metrology.frequencies_hz: entries must be > 0")
     if not all(0 <= dc <= 1 for dc in cfg.sweep_duty_cycles):
@@ -282,4 +283,16 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("swimmer.drive_frequency_hz: must be > 0")
     if min(cfg.swim_scan_frequencies) < 0:
         raise ConfigError("swimmer.scan_frequencies_hz: entries must be >= 0")
+    # every cell a command will measure, under the protocol it is measured with
+    fit = Protocol(pwm, fir, calibration.run_length, calibration.steady_window)
+    cells = [("metrology", protocol, f, dc)
+             for f in cfg.sweep_frequencies for dc in cfg.sweep_duty_cycles]
+    cells.append(("swimmer", protocol, cfg.swim_drive_frequency, swimmer.duty_cycle))
+    cells += [("calibration.targets", fit, f, dc) for f, dc, _ in calibration.targets]
+    for path, cell_protocol, f, dc in cells:
+        try:
+            cell_protocol.cell(f, dc)
+        except (ParameterError, WindowError) as exc:
+            raise ConfigError(f"{path}: cell (f={f:g} Hz, DC={dc * 100:g}%) cannot be "
+                              f"measured: {exc}") from exc
     return cfg

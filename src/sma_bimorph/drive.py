@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriveError, ParameterError, WindowError
+from .errors import ParameterError, WindowError
 
 MODES = ("bimorph", "unimorph-up", "unimorph-down")
 
@@ -26,14 +26,12 @@ MODES = ("bimorph", "unimorph-up", "unimorph-down")
 class PwmConfig:
     """Excitation waveform parameters.
 
-    duty_cycle and phase_shift are fractions of the PWM period.
-    on_height is the supply-side on voltage (15 V in the characterization
-    setup); generated samples carry the actuator-side voltage instead.
+    duty_cycle and phase_shift are fractions of the PWM period.  In
+    bimorph mode the two channels' on-windows must not overlap.
     """
 
     frequency: float = 1.0          # Hz
     duty_cycle: float = 0.10
-    on_height: float = 15.0         # V, supply side
     phase_shift: float = 0.5        # fraction of period, 0.5 = 180 deg
     mode: str = "bimorph"
     sample_rate: float = 2000.0     # Hz
@@ -50,8 +48,11 @@ class PwmConfig:
             raise ParameterError(f"phase_shift must be in [0, 1), got {self.phase_shift}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.on_height <= 0:
-            raise ParameterError(f"on_height must be > 0, got {self.on_height}")
+        # the on-windows [0, DC) and [ps, ps + DC) of a period must not meet on the circle
+        if self.mode == "bimorph" and 0.0 < self.duty_cycle and (
+                self.duty_cycle > self.phase_shift or self.phase_shift + self.duty_cycle > 1.0):
+            raise ParameterError(f"duty_cycle {self.duty_cycle} overlaps the other channel's "
+                                 f"on-window at phase_shift {self.phase_shift}")
 
     @property
     def period(self):
@@ -101,15 +102,6 @@ class PowerTrace:
     p_bar: float      # W
 
 
-def _windows_overlap(duty_cycle, phase_shift):
-    """True if the two on-windows [0, DC) and [ps, ps+DC) intersect on the circle."""
-    if duty_cycle == 0.0:
-        return False
-    if duty_cycle > phase_shift:
-        return True
-    return phase_shift + duty_cycle > 1.0
-
-
 def _on_mask(k, frequency, sample_rate, offset_frac, duty_cycle):
     # Work in the per-period sample coordinate (k*f mod fs) so integer-valued
     # frequencies place window edges exactly on the sample grid.
@@ -126,16 +118,11 @@ def make_pwm_pair(cfg: PwmConfig, params: CircuitParams, duration: float) -> Dri
 
     Channel A (top) occupies [0, DC*T) of each period, channel B the same
     window shifted by phase_shift*T.  Unimorph modes silence the opposite
-    channel.  Raises DriveError if the bimorph windows would overlap or
-    the commanded current exceeds the tether limit.
+    channel.  cfg and params have already checked that the bimorph windows
+    do not overlap and that i_on is within the tether limit.
     """
     if duration <= 0:
         raise ParameterError(f"duration must be > 0, got {duration}")
-    if params.i_on > params.i_limit:
-        raise DriveError(f"i_on {params.i_on} A exceeds tether limit {params.i_limit} A")
-    if cfg.mode == "bimorph" and _windows_overlap(cfg.duty_cycle, cfg.phase_shift):
-        raise DriveError(
-            f"on-windows overlap: DC={cfg.duty_cycle}, phase_shift={cfg.phase_shift}")
 
     n = int(round(duration * cfg.sample_rate))
     k = np.arange(n, dtype=np.float64)

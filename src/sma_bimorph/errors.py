@@ -13,10 +13,6 @@ class ConfigError(SimulationError):
     """Config file cannot be parsed or validated; message carries the key path."""
 
 
-class DriveError(SimulationError):
-    """Invalid excitation request (window overlap, current limit)."""
-
-
 class WindowError(SimulationError):
     """Analysis window does not cover the required whole periods."""
 

@@ -55,15 +55,13 @@ class ActuatorGeometry:
     r_m: float = 1.6e-3              # m, wire moment arm about the neutral axis
     k_beam: float = 8e-3             # N m / rad, beam-spring rotational stiffness
     g_tip: float = 17e-3             # m of tip travel per rad of rotation
-    mass: float = 10e-6              # kg, bookkeeping
-    volume: float = 4.8e-9           # m^3, bookkeeping
     mount_offset: float = 5e-3       # m, wire line crosses the axis this far behind the base
     beam_radius: float = 7.5e-5      # m, envelope radius of the central beam
     anchor_standoff: float = 1e-4    # m, wire anchor height above/below the beam plane
 
     def __post_init__(self):
-        for name in ("length", "r_m", "k_beam", "g_tip", "mass", "volume",
-                     "mount_offset", "beam_radius", "anchor_standoff"):
+        for name in ("length", "r_m", "k_beam", "g_tip", "mount_offset", "beam_radius",
+                     "anchor_standoff"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.alpha < math.pi / 2:

@@ -5,7 +5,8 @@ zero-phase low-pass FIR (order 1000, 100 Hz cutoff, Hamming windowed
 sinc) applied to the displacement record, and the peak-to-peak output per
 actuation period (MADO) averaged over the final 15 s of steady-state data
 (AMADO).  Period boundaries are anchored to the channel-A rising edges of
-the drive, i.e. to integer multiples of 1/f.
+the drive, i.e. to integer multiples of 1/f.  One Protocol value holds
+that protocol and decides which (f, DC) cells it can measure.
 
 Zero phase is realized by exact group-delay compensation of the symmetric
 kernel: the signal is padded by endpoint replication with order/2 samples
@@ -43,6 +44,35 @@ class FirSpec:
         if not 0.0 < self.cutoff < self.fs / 2.0:
             raise ParameterError(
                 f"cutoff must satisfy 0 < cutoff < fs/2 = {self.fs / 2.0}, got {self.cutoff}")
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """The characterization protocol: the PWM template each cell is cut
+    from, the FIR design, the run length and the steady window (s)."""
+
+    pwm: PwmConfig = PwmConfig()
+    fir: FirSpec = FirSpec()
+    run_length: float = RUN_LENGTH
+    steady_window: float = STEADY_WINDOW
+
+    def __post_init__(self):
+        if self.run_length <= 0:
+            raise ParameterError(f"run_length must be > 0 s, got {self.run_length}")
+        if not 0 < self.steady_window <= self.run_length:
+            raise ParameterError(f"steady_window must be in (0, run_length = "
+                                 f"{self.run_length}] s, got {self.steady_window}")
+        if self.fir.fs != self.pwm.sample_rate:
+            raise ParameterError(f"fir fs {self.fir.fs} Hz differs from the drive's "
+                                 f"sample_rate {self.pwm.sample_rate} Hz")
+
+    def cell(self, frequency, duty_cycle) -> PwmConfig:
+        """The bimorph drive of the (f, DC) cell; raises ParameterError or
+        WindowError if the cell cannot be measured."""
+        cell = replace(self.pwm, frequency=frequency, duty_cycle=duty_cycle, mode="bimorph")
+        _steady_periods(frequency, cell.sample_rate, self.run_length, self.steady_window,
+                        int(round(self.run_length * cell.sample_rate)))
+        return cell
 
 
 @dataclass(frozen=True)
@@ -96,16 +126,17 @@ def filter_zero_phase(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def _period_slices(frequency, fs, t_start, t_end):
-    """Sample index ranges of the whole periods inside [t_start, t_end)."""
-    k_first = math.ceil(t_start * frequency - 1e-9)
-    k_last = math.floor(t_end * frequency + 1e-9)  # boundary count, periods = k_last - k_first
-    slices = []
-    for k in range(k_first, k_last):
-        i0 = math.ceil(k * fs / frequency)
-        i1 = math.ceil((k + 1) * fs / frequency)
-        slices.append((i0, i1))
-    return slices
+def _steady_periods(frequency, fs, run_length, steady_window, size):
+    """(first, stop): the whole periods k in [first, stop) of the steady window
+    that start inside a record of size samples; WindowError below 3."""
+    first = math.ceil((run_length - steady_window) * frequency - 1e-9)
+    stop = math.floor(run_length * frequency + 1e-9)
+    while stop > first and math.ceil((stop - 1) * fs / frequency) >= size:
+        stop -= 1
+    if stop - first < 3:
+        raise WindowError(f"steady window holds {max(stop - first, 0)} whole periods "
+                          f"of {frequency} Hz; need >= 3")
+    return first, stop
 
 
 def compute_amado(trace, frequency: float, run_length: float, steady_window: float,
@@ -117,60 +148,49 @@ def compute_amado(trace, frequency: float, run_length: float, steady_window: flo
     """
     fs = fir.fs
     trace = np.asarray(trace, dtype=np.float64)
-    if steady_window > run_length:
-        raise ParameterError(
-            f"steady_window {steady_window} s exceeds run_length {run_length} s")
+    Protocol(run_length=run_length, steady_window=steady_window)
     expected = int(round(run_length * fs))
     if abs(trace.size - expected) > 1:
         raise ParameterError(
             f"trace has {trace.size} samples, expected {expected} for {run_length} s at {fs} Hz")
+    first, stop = _steady_periods(frequency, fs, run_length, steady_window, trace.size)
     filtered = filter_zero_phase(design_fir(fir), trace)
-
-    slices = _period_slices(frequency, fs, run_length - steady_window, run_length)
-    slices = [(i0, min(i1, trace.size)) for i0, i1 in slices if i0 < trace.size]
-    if len(slices) < 3:
-        raise WindowError(
-            f"steady window holds {len(slices)} whole periods of {frequency} Hz; need >= 3")
-    mado = np.array([filtered[i0:i1].max() - filtered[i0:i1].min() for i0, i1 in slices])
+    edges = [min(math.ceil(k * fs / frequency), trace.size) for k in range(first, stop + 1)]
+    mado = np.array([filtered[i0:i1].max() - filtered[i0:i1].min()
+                     for i0, i1 in zip(edges, edges[1:])])
     mado_mm = mado * 1e3
     return AmadoResult(frequency=frequency, duty_cycle=math.nan, mado=mado_mm,
                        amado=float(mado_mm.mean()), std=float(mado_mm.std(ddof=1)))
 
 
-def measure_amado(pwm: PwmConfig, frequency: float, duty_cycle: float,
+def measure_amado(protocol: Protocol, frequency: float, duty_cycle: float,
                   params: CircuitParams, props: WireProperties, env: Environment,
-                  geom: ActuatorGeometry, run_length: float, steady_window: float,
-                  fir: FirSpec | None = None) -> AmadoResult:
+                  geom: ActuatorGeometry) -> AmadoResult:
     """AMADO of one bimorph drive cell: PWM drive, coupled trace, filtered MADO.
 
-    pwm is the drive template: the cell keeps its on height, phase shift
-    and sample rate and replaces frequency and duty cycle.  fir defaults
-    to the standard design at the template's sample rate.
+    The cell's drive is protocol.cell(frequency, duty_cycle); the trace runs
+    protocol.run_length and is filtered with protocol.fir.
     """
-    cell = replace(pwm, frequency=frequency, duty_cycle=duty_cycle, mode="bimorph")
-    if fir is None:
-        fir = FirSpec(fs=cell.sample_rate)
-    trace = run_mode_trace(cell, params, props, env, geom, run_length)
-    result = compute_amado(trace.delta, frequency, run_length, steady_window, fir)
+    cell = protocol.cell(frequency, duty_cycle)
+    trace = run_mode_trace(cell, params, props, env, geom, protocol.run_length)
+    result = compute_amado(trace.delta, frequency, protocol.run_length,
+                           protocol.steady_window, protocol.fir)
     return replace(result, duty_cycle=duty_cycle)
 
 
 def run_sweep(frequencies, duty_cycles, params: CircuitParams, props: WireProperties,
               env: Environment, geom: ActuatorGeometry,
-              run_length: float = RUN_LENGTH, steady_window: float = STEADY_WINDOW,
-              fir: FirSpec | None = None, pwm: PwmConfig = PwmConfig()) -> SweepTable:
-    """Simulate every (f, DC) cell in (f, DC) order and tabulate AMADO.
+              protocol: Protocol = Protocol()) -> SweepTable:
+    """Measure every (f, DC) cell under protocol in (f, DC) order and tabulate AMADO.
 
-    Each cell is cut from the pwm template (see measure_amado).  A failed
-    cell is recorded under .errors with its exception message rather than
-    dropped.
+    A cell that fails, including one the protocol cannot measure, is
+    recorded under .errors with its exception message rather than dropped.
     """
     results = []
     errors = {}
     for f, dc in sorted((float(f), float(dc)) for f in frequencies for dc in duty_cycles):
         try:
-            results.append(measure_amado(pwm, f, dc, params, props, env, geom,
-                                         run_length, steady_window, fir))
+            results.append(measure_amado(protocol, f, dc, params, props, env, geom))
         except SimulationError as exc:
             errors[(f, dc)] = f"{type(exc).__name__}: {exc}"
     av_max = {}

@@ -17,7 +17,6 @@ class TestParseConfig:
         cfg = parse_config("")
         assert cfg.pwm.sample_rate == 2000.0
         assert cfg.pwm.frequency == 1.0 and cfg.pwm.duty_cycle == 0.10
-        assert cfg.pwm.on_height == 15.0
         assert cfg.circuit.i_on == 0.250 and cfg.circuit.r_a == 4.45
         assert cfg.duration == 30.0
         assert cfg.run_length == 30.0 and cfg.steady_window == 15.0
@@ -235,10 +234,25 @@ class TestCliProcess:
          "metrology.frequencies_hz: entries must be > 0"),
         ("metrology:\n  duty_cycles_pct: [150]\n",
          "metrology.duty_cycles_pct: entries must be in [0, 100]"),
+        ("metrology:\n  frequencies_hz: [5]\n  duty_cycles_pct: [0, 100]\n",
+         "metrology: cell (f=5 Hz, DC=100%) cannot be measured: duty_cycle 1.0 overlaps"),
+        ("metrology:\n  frequencies_hz: [5]\n  steady_window_s: 0.5\n",
+         "metrology: cell (f=5 Hz, DC=1%) cannot be measured: steady window holds 2 whole"),
+        ("calibration:\n  run_s: 2\n  steady_window_s: 1\n",
+         "calibration.targets: cell (f=1 Hz, DC=10%) cannot be measured: steady window "
+         "holds 1 whole"),
+        ("drive:\n  duty_cycle_pct: 60\n", "drive.duty_cycle_pct: duty_cycle 0.6 overlaps"),
+        ("swimmer:\n  drive_frequency_hz: 0.1\n",
+         "swimmer: cell (f=0.1 Hz, DC=12%) cannot be measured: steady window holds 1 whole"),
+        ("drive:\n  on_height_v: 15.0\n", "drive.on_height_v: unknown key"),
+        ("geometry:\n  mass_kg: 1.0e-5\n", "geometry.mass_kg: unknown key"),
+        ("geometry:\n  volume_m3: 4.8e-9\n", "geometry.volume_m3: unknown key"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
             "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
             "calibration-target-zero-frequency", "sweep-frequency-negative",
-            "sweep-duty-cycle-above-100"])
+            "sweep-duty-cycle-above-100", "sweep-cell-overlap", "sweep-cell-short-window",
+            "calibration-cell-one-period", "drive-overlap", "swim-cell-one-period",
+            "drive-on-height", "geometry-mass", "geometry-volume"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

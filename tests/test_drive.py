@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sma_bimorph import (CircuitParams, PwmConfig, average_power,
                          instantaneous_power, make_pwm_pair)
-from sma_bimorph.errors import DriveError, ParameterError, WindowError
+from sma_bimorph.errors import ParameterError, WindowError
 
 
 def on_current(v_on, r_a):
@@ -68,19 +68,17 @@ class TestMakePwmPair:
         assert not trace.v_t.any()
         assert (trace.i_b > 0).any()
 
-    def test_bimorph_overlap_rejected(self, circuit):
-        cfg = PwmConfig(frequency=1.0, duty_cycle=0.6)
-        with pytest.raises(DriveError):
-            make_pwm_pair(cfg, circuit, 1.0)
+    def test_bimorph_overlap_rejected(self):
+        with pytest.raises(ParameterError, match="^duty_cycle"):
+            PwmConfig(frequency=1.0, duty_cycle=0.6)
 
     def test_large_duty_allowed_when_windows_fit(self, circuit):
         # DC > 0.5 is only an error when the shifted windows overlap
         cfg = PwmConfig(frequency=1.0, duty_cycle=0.3, phase_shift=0.4)
         trace = make_pwm_pair(cfg, circuit, 1.0)
         assert (trace.i_t * trace.i_b == 0).all()
-        cfg = PwmConfig(frequency=1.0, duty_cycle=0.45, phase_shift=0.4)
-        with pytest.raises(DriveError):
-            make_pwm_pair(cfg, circuit, 1.0)
+        with pytest.raises(ParameterError, match="^duty_cycle"):
+            PwmConfig(frequency=1.0, duty_cycle=0.45, phase_shift=0.4)
 
     def test_current_limit_enforced(self):
         with pytest.raises(ParameterError):

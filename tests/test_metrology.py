@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sma_bimorph import (FirSpec, compute_amado, design_fir, filter_zero_phase,
-                         run_sweep)
+from sma_bimorph import (FirSpec, Protocol, PwmConfig, compute_amado, design_fir,
+                         filter_zero_phase, run_sweep)
 from sma_bimorph.errors import ParameterError, WindowError
 
 
@@ -153,16 +153,53 @@ class TestComputeAmado:
         assert r2.amado == pytest.approx(0.3183 * r1.amado, rel=1e-12)
 
 
+class TestProtocol:
+    def test_fir_rate_must_match_the_drive(self):
+        with pytest.raises(ParameterError, match="^fir"):
+            Protocol(fir=FirSpec(fs=4000.0))
+        Protocol(PwmConfig(sample_rate=4000.0), FirSpec(fs=4000.0))
+
+    @pytest.mark.parametrize("run_length, steady_window, name", [
+        (0.0, 0.0, "run_length"), (4.0, 0.0, "steady_window"), (4.0, 5.0, "steady_window"),
+    ])
+    def test_run_and_window_checked(self, run_length, steady_window, name):
+        with pytest.raises(ParameterError, match=f"^{name}"):
+            Protocol(run_length=run_length, steady_window=steady_window)
+
+    def test_cell_is_the_bimorph_drive_of_the_template(self):
+        template = PwmConfig(phase_shift=0.4, mode="unimorph-up", sample_rate=4000.0)
+        cell = Protocol(template, FirSpec(fs=4000.0)).cell(5.0, 0.3)
+        assert cell == PwmConfig(frequency=5.0, duty_cycle=0.3, phase_shift=0.4,
+                                 mode="bimorph", sample_rate=4000.0)
+
+    @pytest.mark.parametrize("frequency, duty_cycle, name", [
+        (5.0, 0.6, "duty_cycle"),       # the bimorph on-windows overlap
+        (250.0, 0.1, "sample_rate"),    # below 10 samples per period
+    ], ids=["overlap", "rate"])
+    def test_cell_the_drive_rejects_is_rejected(self, frequency, duty_cycle, name):
+        with pytest.raises(ParameterError, match=f"^{name}"):
+            Protocol().cell(frequency, duty_cycle)
+
+    @pytest.mark.parametrize("frequency, run_length, steady_window, periods", [
+        (1.0, 4.0, 2.0, 2), (5.0, 30.0, 0.5, 2), (1.0, 2.0, 1.0, 1), (0.3, 30.0, 5.0, 1),
+    ])
+    def test_cell_with_fewer_than_three_whole_periods_rejected(
+            self, frequency, run_length, steady_window, periods):
+        protocol = Protocol(run_length=run_length, steady_window=steady_window)
+        with pytest.raises(WindowError, match=f"holds {periods} whole periods"):
+            protocol.cell(frequency, 0.1)
+
+
 class TestRunSweep:
     def test_zero_duty_column(self, props, env, geom, circuit):
         table = run_sweep([1.0, 5.0], [0.0], circuit, props, env, geom,
-                          run_length=6.0, steady_window=4.0)
+                          protocol=Protocol(run_length=6.0, steady_window=4.0))
         assert all(r.amado == 0.0 for r in table.rows)
         assert all(r.normalized == 0.0 for r in table.rows)
 
     def test_row_ordering_and_normalization(self, props, env, geom, circuit):
         table = run_sweep([5.0, 1.0], [0.10, 0.05], circuit, props, env, geom,
-                          run_length=8.0, steady_window=4.0)
+                          protocol=Protocol(run_length=8.0, steady_window=4.0))
         keys = [(r.frequency, r.duty_cycle) for r in table.rows]
         assert keys == sorted(keys)
         for f in (1.0, 5.0):
@@ -174,7 +211,7 @@ class TestRunSweep:
     def test_failed_cell_recorded_not_dropped(self, props, env, geom, circuit):
         # duty cycle above 0.5 overlaps in bimorph mode and must error per cell
         table = run_sweep([1.0], [0.10, 0.60], circuit, props, env, geom,
-                          run_length=6.0, steady_window=3.0)
+                          protocol=Protocol(run_length=6.0, steady_window=3.0))
         assert (1.0, 0.60) in table.errors
         assert len(table.rows) == 1
         assert table.rows[0].duty_cycle == 0.10
