@@ -6,17 +6,15 @@ measured 3 Hz speed, and report the speed scan plus a straight-swimming
 trajectory."""
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sma_bimorph import (body_lengths_per_second, fit_thrust_coefficient, measure_amado,
-                         parse_config, reynolds, run_swimmer, steady_speed)
+                         parse_config, reynolds, steady_speed)
+from sma_bimorph.cli import trajectory_columns
 from sma_bimorph.csvio import SPEED_SCAN_SCHEMA, TRAJECTORY_SCHEMA, write_csv
 
 MEASURED_SPEED = 2.39e-3   # m/s, the bench swimming speed at the 3 Hz drive
@@ -47,17 +45,11 @@ def main():
     path = write_csv(args.out / "speed_scan.csv", SPEED_SCAN_SCHEMA, (frequencies, speeds))
     print(f"wrote {path}")
 
-    # the soft tail passes only the fundamental of the actuator motion
-    dt = 1.0 / cfg.pwm.sample_rate
-    t = np.arange(int(cfg.run_length / dt)) * dt
-    tail = amp * np.sin(2 * math.pi * f_drive * t)
-    track = run_swimmer(tail, swimmer, dt)
-    columns = (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
-               track.v[1:] * 1e3)
+    # the trajectory of `bimorph swim`, with the fitted thrust coefficient
+    _, x, _, psi, _ = columns = trajectory_columns(cfg, swimmer, amp)
     path = write_csv(args.out / "trajectory.csv", TRAJECTORY_SCHEMA, columns)
-    final = track[-1]
-    print(f"{cfg.run_length:g} s trajectory: x = {final.x * 1e3:.1f} mm, heading drift = "
-          f"{math.degrees(final.psi):.2f} deg")
+    print(f"{cfg.steady_window:g} s trajectory: x = {x[-1]:.1f} mm, heading drift = "
+          f"{psi[-1]:.2f} deg")
     print(f"wrote {path}")
 
 

@@ -91,21 +91,11 @@ def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     water_env = replace(cfg.env, convection_multiplier=cfg.swim_convection_multiplier)
-    # trajectory at the configured drive frequency; the soft tail transmits
-    # only the fundamental of the actuator motion, so the swimmer is driven
-    # sinusoidally at the amplitude taken from the displacement trace
     stroke = measure_amado(cfg.protocol, cfg.swim_drive_frequency, cfg.swimmer.duty_cycle,
                            cfg.circuit, cfg.props, water_env, cfg.geom)
     amp = cfg.swimmer.tail_gain * (stroke.amado * 1e-3) / 2.0
-    dt = 1.0 / cfg.pwm.sample_rate
-    n = int(round(cfg.steady_window * cfg.pwm.sample_rate))
-    t = np.arange(n) * dt
-    tail = amp * np.sin(2.0 * np.pi * cfg.swim_drive_frequency * t)
-    track = swim_mod.run_swimmer(tail, cfg.swimmer, dt)
-    columns = (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
-               track.v[1:] * 1e3)
     paths = [write_csv(out_dir / f"{cfg.scenario}_trajectory.csv", TRAJECTORY_SCHEMA,
-                       columns)]
+                       trajectory_columns(cfg, cfg.swimmer, amp))]
 
     # scan at the fixed trajectory amplitude: the measured best operating
     # band (3 to 4 Hz) is compared at one tail stroke, and the quadratic
@@ -115,6 +105,22 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     paths.append(write_csv(out_dir / f"{cfg.scenario}_speed_scan.csv",
                            SPEED_SCAN_SCHEMA, (frequencies, speeds)))
     return paths
+
+
+def trajectory_columns(cfg: ScenarioConfig, swimmer: swim_mod.SwimmerParams,
+                       amplitude: float) -> tuple:
+    """TRAJECTORY_SCHEMA columns of swimmer over cfg's steady window.
+
+    The soft tail transmits only the fundamental of the actuator motion, so
+    the tail is driven sinusoidally at the swim drive frequency with
+    amplitude (rad), taken from the displacement trace.
+    """
+    dt = 1.0 / cfg.pwm.sample_rate
+    t = np.arange(int(round(cfg.steady_window * cfg.pwm.sample_rate))) * dt
+    tail = amplitude * np.sin(2.0 * np.pi * cfg.swim_drive_frequency * t)
+    track = swim_mod.run_swimmer(tail, swimmer, dt)
+    return (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
+            track.v[1:] * 1e3)
 
 
 COMMANDS = {

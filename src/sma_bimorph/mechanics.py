@@ -40,10 +40,9 @@ import numpy as np
 
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
 from .errors import ClearanceError, ParameterError
-from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _branch_trace,
-                  _final_wire, _phase_step, _require_finite, _sample_arrays,
-                  _tension_from_kinematics, relaxed_state, temperature_trace,
-                  transformation_temperatures)
+from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _band,
+                  _branch_trace, _final_wire, _phase_step, _require_finite, _sample_arrays,
+                  _tension_from_kinematics, relaxed_state, temperature_trace)
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
 
 def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
                    geom: ActuatorGeometry, dt: float,
-                   initial: ActuatorState | None = None) -> DisplacementTrace:
+                   initial: ActuatorState | None = None, period: int = 0) -> DisplacementTrace:
     """Run the coupled model over per-sample current arrays from initial.
 
     Sample n records the state at t_n, then the drive of [t_n, t_n + dt)
@@ -227,8 +226,16 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     drive returns initial unchanged, also a hand-built one.  Raises
     NumericError at the first sample whose temperature is non-finite.
 
-    Two shortcuts leave every bit as the step-by-step loop gives it:
+    Four shortcuts leave every bit as the step-by-step loop gives it:
 
+    * The lagging wire's temperatures are copied.  If the bottom current
+      from its first non-zero sample s on repeats the top one (i_b[s:]
+      equals i_t[:n - s], as for PWM channels half a period apart) and its
+      first s steps end on the top wire's start temperature, the rest of
+      its trace is temps_t[1:n + 1 - s], since sma.temperature_trace is a
+      pure recurrence in (temperature, current).
+    * With period P > 0, both temperature traces are tiled from their exact
+      fixed point (sma.temperature_trace).
     * _balance is a pure function of the xi pair, so it is solved only at
       the first step and when the pair differs from the last pair solved.
     * Dormant stretches are skipped.  Once a step n leaves
@@ -245,35 +252,44 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     if initial is None:
         initial = relaxed_actuator(env)
     top, bottom = initial.top, initial.bottom
-    temps_t = temperature_trace(i_t, top.temperature, props, env, dt)
-    temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt)
+    size = i_t.size
+    temps_t = temperature_trace(i_t, top.temperature, props, env, dt, period)
+    temps_b = None
+    lag = int(np.argmax(i_b != 0.0)) if size else 0    # the bottom channel's first current
+    if lag and np.array_equal(i_b[lag:], i_t[:size - lag]):
+        head = temperature_trace(i_b[:lag], bottom.temperature, props, env, dt)
+        if head[-1] == temps_t[0]:
+            temps_b = np.concatenate((head, temps_t[1:size + 1 - lag]))
+    if temps_b is None:
+        temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt, period)
     _require_finite(temps_t, temps_b)
     branches_t, anchors_t = _branch_trace(temps_t, top.branch, top.anchor_t)
     branches_b, anchors_b = _branch_trace(temps_b, bottom.branch, bottom.anchor_t)
-    # read as Python floats and ints
+    outs = [np.empty(size) for _ in range(5)]
+    out_theta, out_xi_t, out_xi_b, out_sig_t, out_sig_b = outs
+    # read and written as Python floats and ints
     trace_t, trace_b = memoryview(temps_t), memoryview(temps_b)
     br_trace_t, br_trace_b = memoryview(branches_t), memoryview(branches_b)
     anc_trace_t, anc_trace_b = memoryview(anchors_t), memoryview(anchors_b)
+    rec_theta, rec_xi_t, rec_xi_b, rec_sig_t, rec_sig_b = map(memoryview, outs)
 
-    balance = _balance(geom, props)
+    balance, band, phase_step = _balance(geom, props), _band(props), _phase_step
     xi_t, anc_xi_t, br_t = top.xi, top.anchor_xi, top.branch
     xi_b, anc_xi_b, br_b = bottom.xi, bottom.anchor_xi, bottom.branch
     theta, sigma_t, sigma_b, _ = balance(top.xi, bottom.xi)
-    m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
-    m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
+    m_f_t, m_s_t, a_s_t, a_f_t = band(sigma_t)
+    m_f_b, m_s_b, a_s_b, a_f_b = band(sigma_b)
     solved_t = solved_b = None     # the xi pair of the last balance solved
     exceeding = None               # the steps after which a wire is above A_s at (1, 1)
 
-    size = i_t.size
-    out_theta, out_xi_t, out_xi_b, out_sig_t, out_sig_b = (np.empty(size) for _ in range(5))
     max_resid = 0.0
     n = 0
     while n < size:
-        out_theta[n] = theta
-        out_xi_t[n] = xi_t
-        out_xi_b[n] = xi_b
-        out_sig_t[n] = sigma_t
-        out_sig_b[n] = sigma_b
+        rec_theta[n] = theta
+        rec_xi_t[n] = xi_t
+        rec_xi_b[n] = xi_b
+        rec_sig_t[n] = sigma_t
+        rec_sig_b[n] = sigma_b
 
         n += 1
         temp_t = trace_t[n]
@@ -284,16 +300,16 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
             br_t, anc_xi_t = br_trace_t[n], xi_t
         if br_trace_b[n] != br_b:
             br_b, anc_xi_b = br_trace_b[n], xi_b
-        xi_t = _phase_step(xi_t, temp_t, anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
-        xi_b = _phase_step(xi_b, temp_b, anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
+        xi_t = phase_step(xi_t, temp_t, anc_xi_t, anc_t_t, br_t, m_f_t, m_s_t, a_s_t, a_f_t)
+        xi_b = phase_step(xi_b, temp_b, anc_xi_b, anc_t_b, br_b, m_f_b, m_s_b, a_s_b, a_f_b)
 
         if xi_t != solved_t or xi_b != solved_b:
             solved_t, solved_b = xi_t, xi_b
             theta, sigma_t, sigma_b, resid = balance(xi_t, xi_b)
             if abs(resid) > max_resid:
                 max_resid = abs(resid)
-            m_f_t, m_s_t, a_s_t, a_f_t = transformation_temperatures(props, sigma_t)
-            m_f_b, m_s_b, a_s_b, a_f_b = transformation_temperatures(props, sigma_b)
+            m_f_t, m_s_t, a_s_t, a_f_t = band(sigma_t)
+            m_f_b, m_s_b, a_s_b, a_f_b = band(sigma_b)
 
         if (xi_t == 1.0 and xi_b == 1.0 and anc_xi_t == 1.0 and anc_xi_b == 1.0
                 and temp_t <= a_s_t and temp_b <= a_s_b
@@ -325,10 +341,16 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
 def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
                    env: Environment, geom: ActuatorGeometry,
                    duration: float) -> DisplacementTrace:
-    """PWM drive to tip-displacement trace, the simulated laser measurement."""
+    """PWM drive to tip-displacement trace, the simulated laser measurement.
+
+    With whole f and fs the drive repeats every fs / gcd(fs, f) samples,
+    and simulate_drive tiles both temperature traces from their fixed point.
+    """
     if duration < 2.0 * cfg.period:
         raise ParameterError(
             f"duration {duration} s must cover at least two periods of {cfg.frequency} Hz")
     drive = make_pwm_pair(cfg, params, duration)
-    return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / cfg.sample_rate,
-                          initial=relaxed_actuator(env))
+    fs, f = float(cfg.sample_rate), float(cfg.frequency)
+    period = int(fs) // math.gcd(int(fs), int(f)) if fs.is_integer() and f.is_integer() else 0
+    return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / fs,
+                          initial=relaxed_actuator(env), period=period)

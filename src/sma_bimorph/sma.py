@@ -10,7 +10,10 @@ martensite fraction xi.  Three laws compose:
   and strand geometry; A_lat is the total lateral surface.  The balance
   holds no latent-heat term, so it reads neither the stress nor xi: a
   wire's whole temperature trace is computed first (temperature_trace),
-  and the phase is then stepped over it (_phase_step).
+  and the phase is then stepped over it (_phase_step).  Each RK4 step is
+  a pure function of (temperature, current), which two exact shortcuts
+  use: temperature_trace tiles a periodic drive from its fixed point, and
+  mechanics.simulate_drive copies a lagging wire's trace from the other's.
 
 * Cosine transformation kinetics with linear stress shift.  The
   transformation bands move up with tensile stress,
@@ -173,24 +176,6 @@ def relaxed_state(env: Environment) -> WireState:
 # ---------------------------------------------------------------------------
 # scalar kernels
 
-def _heating_shape(temp, a_s_eff, a_f_eff):
-    # major heating branch from xi=1: holds 1 below A_s, half-cosine to 0 at A_f
-    if temp <= a_s_eff:
-        return 1.0
-    if temp >= a_f_eff:
-        return 0.0
-    return 0.5 * (math.cos(math.pi * (temp - a_s_eff) / (a_f_eff - a_s_eff)) + 1.0)
-
-
-def _cooling_shape(temp, m_f_eff, m_s_eff):
-    # martensite formed on the major cooling branch started from xi=0
-    if temp >= m_s_eff:
-        return 0.0
-    if temp <= m_f_eff:
-        return 1.0
-    return 0.5 * (math.cos(math.pi * (temp - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0)
-
-
 def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff, a_f_eff):
     """xi after a step to temperature `temp` on branch, anchored at (anchor_t, anchor_xi).
 
@@ -209,17 +194,25 @@ def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff
     """
     new_xi = xi
     if branch == BRANCH_HEATING:
-        denom = _heating_shape(anchor_t, a_s_eff, a_f_eff)
+        # major heating branch from xi = 1: 1 below A_s, half-cosine to 0 at A_f
+        denom = (1.0 if anchor_t <= a_s_eff else 0.0 if anchor_t >= a_f_eff else
+                 0.5 * (math.cos(math.pi * (anchor_t - a_s_eff) / (a_f_eff - a_s_eff)) + 1.0))
         if denom > 1e-12:
-            cand = anchor_xi * _heating_shape(temp, a_s_eff, a_f_eff) / denom
+            shape = (1.0 if temp <= a_s_eff else 0.0 if temp >= a_f_eff else
+                     0.5 * (math.cos(math.pi * (temp - a_s_eff) / (a_f_eff - a_s_eff)) + 1.0))
+            cand = anchor_xi * shape / denom
         else:
             cand = 0.0
         if cand < new_xi:   # heating never raises xi
             new_xi = cand
     elif branch == BRANCH_COOLING:
-        denom = 1.0 - _cooling_shape(anchor_t, m_f_eff, m_s_eff)
+        # martensite formed on the major cooling branch started from xi = 0
+        denom = 1.0 - (0.0 if anchor_t >= m_s_eff else 1.0 if anchor_t <= m_f_eff else 0.5 * (
+            math.cos(math.pi * (anchor_t - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0))
         if denom > 1e-12:
-            cand = 1.0 - (1.0 - anchor_xi) * (1.0 - _cooling_shape(temp, m_f_eff, m_s_eff)) / denom
+            formed = (0.0 if temp >= m_s_eff else 1.0 if temp <= m_f_eff else
+                      0.5 * (math.cos(math.pi * (temp - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0))
+            cand = 1.0 - (1.0 - anchor_xi) * (1.0 - formed) / denom
         else:
             cand = 1.0
         if cand > new_xi:   # cooling never lowers xi
@@ -241,33 +234,49 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
 
 
 def temperature_trace(currents, temperature, props: WireProperties, env: Environment,
-                      dt: float) -> np.ndarray:
+                      dt: float, period: int = 0) -> np.ndarray:
     """Temperatures of a wire at t_0 ... t_n, starting from temperature.
 
     currents is a float array of n samples, read as Python floats and each
     held over its step of dt; entry k of the result is the temperature
     after k classical RK4 steps of the heat balance (module docstring).
     The balance reads neither the stress nor xi, so a wire's whole
-    temperature trace is known before its phase is stepped.
+    temperature trace is known before its phase is stepped.  Each step is a
+    pure function of (temperature, current), so equal currents from an equal
+    temperature repeat a trace bit for bit; mechanics.simulate_drive copies
+    a lagging wire's trace on that ground.
+
+    With a period P > 0 and currents[P:] equal to currents[:-P], the steps
+    run one period at a time, and from the first boundary k whose temps[k]
+    equals temps[k - P] the rest is tiled from the last period, exactly for
+    the same reason (the periodic steady state of Aprille & Trick 1972,
+    Proc. IEEE 60:108).  A NaN never matches.
     """
     resistance = props.resistance
     h_area = props.h * env.convection_multiplier * props.lateral_area
     cap = props.heat_capacity
     t_amb = env.t_amb
-    temps = np.empty(currents.size + 1)
+    size = currents.size
+    if not (0 < period < size and np.array_equal(currents[period:], currents[:-period])):
+        period = max(size, 1)    # one chunk, no boundary to compare
+    temps = np.empty(size + 1)
     out = memoryview(temps)    # stores Python floats without NumPy scalar overhead
     temp = out[0] = temperature
-    for k, current in enumerate(currents.tolist(), 1):
-        q = current * current * resistance
-        k1 = (q - h_area * (temp - t_amb)) / cap
-        t2 = temp + 0.5 * dt * k1
-        k2 = (q - h_area * (t2 - t_amb)) / cap
-        t3 = temp + 0.5 * dt * k2
-        k3 = (q - h_area * (t3 - t_amb)) / cap
-        t4 = temp + dt * k3
-        k4 = (q - h_area * (t4 - t_amb)) / cap
-        temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        out[k] = temp
+    for start in range(0, size, period):
+        for k, current in enumerate(currents[start:start + period].tolist(), start + 1):
+            q = current * current * resistance
+            k1 = (q - h_area * (temp - t_amb)) / cap
+            t2 = temp + 0.5 * dt * k1
+            k2 = (q - h_area * (t2 - t_amb)) / cap
+            t3 = temp + 0.5 * dt * k2
+            k3 = (q - h_area * (t3 - t_amb)) / cap
+            t4 = temp + dt * k3
+            k4 = (q - h_area * (t4 - t_amb)) / cap
+            temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            out[k] = temp
+        if k < size and temp == out[k - period]:
+            temps[k + 1:] = np.resize(temps[k + 1 - period:k + 1], size - k)
+            break
     return temps
 
 
@@ -331,10 +340,16 @@ def _final_wire(state, temps, branches, anchors, xi, anchor_xi) -> WireState:
                      anchor_t=float(anchors[-1]), branch=int(branches[-1]))
 
 
+def _band(props: WireProperties):
+    """band(sigma) -> the stress-shifted (M_f, M_s, A_s, A_f) of wires props, kelvin."""
+    m_f, m_s, a_s, a_f, c_m, c_a = props.m_f, props.m_s, props.a_s, props.a_f, props.c_m, props.c_a
+    return lambda sigma: (m_f + sigma / c_m, m_s + sigma / c_m,
+                          a_s + sigma / c_a, a_f + sigma / c_a)
+
+
 def transformation_temperatures(props: WireProperties, sigma: float):
     """Stress-shifted (M_f, M_s, A_s, A_f), kelvin."""
-    return (props.m_f + sigma / props.c_m, props.m_s + sigma / props.c_m,
-            props.a_s + sigma / props.c_a, props.a_f + sigma / props.c_a)
+    return _band(props)(sigma)
 
 
 def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
@@ -361,13 +376,13 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     _require_finite(temps)
     branches, anchors = _branch_trace(temps, state.branch, state.anchor_t)
     xi, anchor_xi, branch = state.xi, state.anchor_xi, state.branch
+    band = _band(props)
     out_xi = np.empty_like(currents)
     for n, (temp, new_branch, anchor_t, sigma) in enumerate(zip(
             memoryview(temps)[1:], memoryview(branches)[1:], memoryview(anchors)[1:],
             sigmas.tolist())):
         if new_branch != branch:
             branch, anchor_xi = new_branch, xi
-        xi = _phase_step(xi, temp, anchor_xi, anchor_t, branch,
-                         *transformation_temperatures(props, sigma))
+        xi = _phase_step(xi, temp, anchor_xi, anchor_t, branch, *band(sigma))
         out_xi[n] = xi
     return temps[1:], out_xi, _final_wire(state, temps, branches, anchors, xi, anchor_xi)

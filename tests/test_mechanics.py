@@ -7,10 +7,26 @@ import pytest
 from sma_bimorph import (ActuatorState, PwmConfig, clearance_check, make_pwm_pair,
                          relaxed_actuator, run_mode_trace, simulate_wire,
                          solve_equilibrium, tip_envelope)
+from sma_bimorph import mechanics
 from sma_bimorph.errors import ClearanceError, NumericError, ParameterError
 from sma_bimorph.mechanics import simulate_drive
 from sma_bimorph.metrology import spectral_energy_below
-from sma_bimorph.sma import relaxed_state
+from sma_bimorph.sma import relaxed_state, temperature_trace
+
+TRACE_ARRAYS = ("t", "delta", "theta", "temp_top", "temp_bottom", "xi_top", "xi_bottom",
+                "sigma_top", "sigma_bottom")
+
+
+def spy_temperature_traces(monkeypatch):
+    """(samples, period) of every temperature trace simulate_drive steps."""
+    calls = []
+
+    def spy(currents, temperature, props, env, dt, period=0):
+        calls.append((currents.size, period))
+        return temperature_trace(currents, temperature, props, env, dt, period)
+
+    monkeypatch.setattr(mechanics, "temperature_trace", spy)
+    return calls
 
 
 def energy_minimum_delta(xi_top, xi_bottom, geom, props, span=0.7, coarse=4001, fine=4001):
@@ -185,6 +201,77 @@ class TestStepActuator:
             assert np.array_equal(joined, getattr(whole, name)), name
         assert tail.final_state == whole.final_state
         assert max(head.max_residual, tail.max_residual) == whole.max_residual
+
+    @pytest.mark.parametrize("multiplier", [1.0, 1.5], ids=["dry", "water"])
+    @pytest.mark.parametrize("frequency, copied", [
+        (1.0, True), (5.0, True), (10.0, True), (15.0, False), (20.0, True),
+    ], ids=["1hz", "5hz", "10hz", "15hz-fallback", "20hz"])
+    def test_bottom_wire_copy_is_its_own_trace(self, props, env, geom, circuit, monkeypatch,
+                                               frequency, copied, multiplier):
+        # channel B is channel A delayed by half a period, so the bottom
+        # temperatures are copied from the top trace; at 15 Hz the half period
+        # is no whole number of samples and the bottom trace is stepped in full
+        side = replace(env, convection_multiplier=multiplier)
+        drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=0.10), circuit, 4.0)
+        calls = spy_temperature_traces(monkeypatch)
+        trace = simulate_drive(drive.i_t, drive.i_b, props, side, geom, 1 / 2000.0)
+        assert (sum(size for size, _ in calls) < 2 * drive.i_b.size) == copied
+        direct = temperature_trace(drive.i_b, side.t_amb, props, side, 1 / 2000.0)
+        assert np.array_equal(trace.temp_bottom, direct[:-1])
+        assert trace.final_state.bottom.temperature == direct[-1]
+
+    def test_bottom_wire_copy_continues_a_split_trace(self, props, env, geom, circuit,
+                                                      monkeypatch):
+        # cut where channel A switches on, the continuation's bottom current is
+        # again the top one delayed, from wires that have been driven before
+        drive = make_pwm_pair(PwmConfig(frequency=1.0, duty_cycle=0.10), circuit, 4.0)
+        split = 2000
+        head = simulate_drive(drive.i_t[:split], drive.i_b[:split], props, env, geom,
+                              1 / 2000.0)
+        start = head.final_state
+        assert start.bottom.xi < 1.0 and start.top.anchor_xi < 1.0
+        calls = spy_temperature_traces(monkeypatch)
+        tail = simulate_drive(drive.i_t[split:], drive.i_b[split:], props, env, geom,
+                              1 / 2000.0, initial=start)
+        assert [size for size, _ in calls] == [drive.i_t.size - split, 1000]
+        direct = temperature_trace(drive.i_b[split:], start.bottom.temperature, props, env,
+                                   1 / 2000.0)
+        assert np.array_equal(tail.temp_bottom, direct[:-1])
+
+    def test_bottom_wire_from_another_temperature_is_stepped(self, props, env, geom, circuit,
+                                                             monkeypatch):
+        # a bottom wire that starts hotter ends its first half period away
+        # from the top wire's start temperature, so nothing is copied
+        drive = make_pwm_pair(PwmConfig(frequency=1.0, duty_cycle=0.10), circuit, 4.0)
+        initial = relaxed_actuator(env)
+        initial = replace(initial, bottom=replace(initial.bottom, temperature=330.0))
+        calls = spy_temperature_traces(monkeypatch)
+        trace = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
+                               initial=initial)
+        assert [size for size, _ in calls] == [8000, 1000, 8000]
+        direct = temperature_trace(drive.i_b, 330.0, props, env, 1 / 2000.0)
+        assert np.array_equal(trace.temp_bottom, direct[:-1])
+
+    @pytest.mark.parametrize("frequency, duty, mode, multiplier", [
+        (5.0, 0.03, "bimorph", 1.0), (1.0, 0.10, "bimorph", 1.0),
+        (20.0, 0.10, "bimorph", 1.0), (2.0, 0.40, "unimorph-up", 1.0),
+        (3.0, 0.12, "bimorph", 1.5),
+    ], ids=["5hz-zero", "1hz", "20hz", "2hz-unimorph-up", "3hz-water"])
+    def test_tiled_temperatures_keep_every_bit(self, props, env, geom, circuit, monkeypatch,
+                                               frequency, duty, mode, multiplier):
+        # run_mode_trace passes the drive's period, so both temperature traces
+        # are tiled from their fixed point; stepping every sample gives the same bits
+        cfg = PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode)
+        side = replace(env, convection_multiplier=multiplier)
+        calls = spy_temperature_traces(monkeypatch)
+        tiled = run_mode_trace(cfg, circuit, props, side, geom, 30.0)
+        assert calls[0] == (60000, 2000 // math.gcd(2000, int(frequency)))
+        drive = make_pwm_pair(cfg, circuit, 30.0)
+        stepped = simulate_drive(drive.i_t, drive.i_b, props, side, geom, 1 / 2000.0)
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(tiled, name), getattr(stepped, name)), name
+        assert tiled.final_state == stepped.final_state
+        assert tiled.max_residual == stepped.max_residual
 
     def test_non_finite_initial_temperature_names_sample_0(self, props, env, geom):
         initial = relaxed_actuator(env)

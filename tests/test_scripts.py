@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sma_bimorph import parse_config
 from sma_bimorph.csvio import POWER_SCHEMA, SPEED_SCAN_SCHEMA, TRAJECTORY_SCHEMA
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -27,3 +28,7 @@ def test_script_writes_its_csvs(tmp_path, script, outputs):
         assert header == schema.header, name
         assert rows, name
         assert all(len(row.split(",")) == len(schema.columns) for row in rows), name
+        if schema is TRAJECTORY_SCHEMA:
+            # the trajectory of `bimorph swim`: the steady window at the sample rate
+            cfg = parse_config("")
+            assert len(rows) == round(cfg.steady_window * cfg.pwm.sample_rate) == 30000

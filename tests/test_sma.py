@@ -11,7 +11,7 @@ from sma_bimorph import (Environment, WireProperties, WireState, relaxed_actuato
                          wire_strain)
 from sma_bimorph.errors import NumericError, ParameterError
 from sma_bimorph.sma import (BRANCH_COOLING, BRANCH_HEATING, BRANCH_NONE, _branch_trace,
-                             _phase_step)
+                             _phase_step, temperature_trace)
 
 
 def hold_current(state, current, n, props, env, dt):
@@ -101,6 +101,35 @@ class TestThermal:
         current[37:] = 1e200
         with pytest.raises(NumericError, match=r"non-finite at sample 37$"):
             simulate_wire(current, np.zeros(100), props, env, 5e-4)
+
+
+def pulses(n):
+    """A 5 Hz/10% PWM current at 2 kHz, n samples."""
+    return np.where(np.arange(n) % 400 < 40, 0.25, 0.0)
+
+
+class TestPeriodTiling:
+    # period=400 tiles a 400-periodic current from the first period boundary
+    # whose temperature repeats; stepping every sample gives the same bits
+
+    @pytest.mark.parametrize("n", [20 * 2000, 20 * 2000 + 123], ids=["whole", "partial"])
+    def test_periodic_current_tiles_bit_for_bit(self, props, env, n):
+        # the fixed point lies inside the run, so its tail is a repeat; a run
+        # that ends inside a period fills its last partial period
+        current = pulses(n)
+        direct = temperature_trace(current, env.t_amb, props, env, 5e-4)
+        assert np.array_equal(direct[n - 400:n], direct[n - 800:n - 400])
+        tiled = temperature_trace(current, env.t_amb, props, env, 5e-4, period=400)
+        assert np.array_equal(tiled, direct)
+
+    def test_non_periodic_current_is_not_tiled(self, props, env):
+        # one extra on-sample after the fixed point breaks the repeat
+        current = pulses(20 * 2000)
+        current[-10] = 0.25
+        direct = temperature_trace(current, env.t_amb, props, env, 5e-4)
+        assert not np.array_equal(direct[-400:], direct[-800:-400])
+        tiled = temperature_trace(current, env.t_amb, props, env, 5e-4, period=400)
+        assert np.array_equal(tiled, direct)
 
 
 class TestPhaseKinetics:
