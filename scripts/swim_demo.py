@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sma_bimorph import (body_lengths_per_second, fit_thrust_coefficient, measure_amado,
                          parse_config, reynolds, steady_speed)
-from sma_bimorph.cli import trajectory_columns
 from sma_bimorph.csvio import SPEED_SCAN_SCHEMA, TRAJECTORY_SCHEMA, write_csv
+from sma_bimorph.swimmer import trajectory_columns
 
 MEASURED_SPEED = 2.39e-3   # m/s, the bench swimming speed at the 3 Hz drive
 
@@ -46,7 +46,8 @@ def main():
     print(f"wrote {path}")
 
     # the trajectory of `bimorph swim`, with the fitted thrust coefficient
-    _, x, _, psi, _ = columns = trajectory_columns(cfg, swimmer, amp)
+    _, x, _, psi, _ = columns = trajectory_columns(swimmer, amp, f_drive, cfg.pwm.sample_rate,
+                                                   cfg.steady_window)
     path = write_csv(args.out / "trajectory.csv", TRAJECTORY_SCHEMA, columns)
     print(f"{cfg.steady_window:g} s trajectory: x = {x[-1]:.1f} mm, heading drift = "
           f"{psi[-1]:.2f} deg")

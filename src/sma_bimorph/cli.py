@@ -19,8 +19,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import swimmer as swim_mod
 from .calibration import calibrate
 from .config import ScenarioConfig, parse_config
@@ -94,8 +92,9 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     stroke = measure_amado(cfg.protocol, cfg.swim_drive_frequency, cfg.swimmer.duty_cycle,
                            cfg.circuit, cfg.props, water_env, cfg.geom)
     amp = cfg.swimmer.tail_gain * (stroke.amado * 1e-3) / 2.0
-    paths = [write_csv(out_dir / f"{cfg.scenario}_trajectory.csv", TRAJECTORY_SCHEMA,
-                       trajectory_columns(cfg, cfg.swimmer, amp))]
+    columns = swim_mod.trajectory_columns(cfg.swimmer, amp, cfg.swim_drive_frequency,
+                                          cfg.pwm.sample_rate, cfg.steady_window)
+    paths = [write_csv(out_dir / f"{cfg.scenario}_trajectory.csv", TRAJECTORY_SCHEMA, columns)]
 
     # scan at the fixed trajectory amplitude: the measured best operating
     # band (3 to 4 Hz) is compared at one tail stroke, and the quadratic
@@ -105,22 +104,6 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     paths.append(write_csv(out_dir / f"{cfg.scenario}_speed_scan.csv",
                            SPEED_SCAN_SCHEMA, (frequencies, speeds)))
     return paths
-
-
-def trajectory_columns(cfg: ScenarioConfig, swimmer: swim_mod.SwimmerParams,
-                       amplitude: float) -> tuple:
-    """TRAJECTORY_SCHEMA columns of swimmer over cfg's steady window.
-
-    The soft tail transmits only the fundamental of the actuator motion, so
-    the tail is driven sinusoidally at the swim drive frequency with
-    amplitude (rad), taken from the displacement trace.
-    """
-    dt = 1.0 / cfg.pwm.sample_rate
-    t = np.arange(int(round(cfg.steady_window * cfg.pwm.sample_rate))) * dt
-    tail = amplitude * np.sin(2.0 * np.pi * cfg.swim_drive_frequency * t)
-    track = swim_mod.run_swimmer(tail, swimmer, dt)
-    return (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
-            track.v[1:] * 1e3)
 
 
 COMMANDS = {

@@ -143,6 +143,22 @@ def run_swimmer(tail_commands, params: SwimmerParams, dt: float) -> np.recarray:
                              names="x,y,psi,v,tail_angle")
 
 
+def trajectory_columns(params: SwimmerParams, amplitude: float, frequency: float,
+                       sample_rate: float, duration: float) -> tuple:
+    """Time (s), x, y (mm), heading (deg) and speed (mm/s) of a straight swim.
+
+    The soft tail transmits only the fundamental of the actuator motion, so
+    the tail is driven sinusoidally at frequency with amplitude (rad) for
+    duration seconds at sample_rate; the columns of csvio.TRAJECTORY_SCHEMA.
+    """
+    dt = 1.0 / sample_rate
+    t = np.arange(int(round(duration * sample_rate))) * dt
+    tail = amplitude * np.sin(2.0 * np.pi * frequency * t)
+    track = run_swimmer(tail, params, dt)
+    return (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
+            track.v[1:] * 1e3)
+
+
 def reynolds(v: float, length: float, nu: float) -> float:
     """Reynolds number v L / nu."""
     if nu <= 0:

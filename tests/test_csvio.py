@@ -81,9 +81,10 @@ def test_float64_columns_match_naive_oracle(tmp_path_factory, n, pool, scale, se
     # path); the scaled normal column is all distinct
     rng = np.random.default_rng(seed)
     pool = np.array(pool, dtype=np.float64)
+    picked, normal = pool[rng.integers(len(pool), size=n)], rng.standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):   # a huge scale gives inf values on purpose
-        columns = [pool[rng.integers(len(pool), size=n)], rng.standard_normal(n) * scale,
-                   pool[rng.integers(len(pool), size=n)]]
+        scaled = normal * scale
+    columns = [picked, scaled, pool[rng.integers(len(pool), size=n)]]
     path = write_csv(tmp_path_factory.mktemp("csv") / "f.csv", TRACE_SCHEMA, columns)
     assert path.read_bytes() == naive_csv(TRACE_SCHEMA, columns).encode("utf-8")
 
