@@ -60,12 +60,15 @@ def _format_chunk(chunk) -> list:
     if not isinstance(chunk, np.ndarray):
         return list(map(format_value, chunk))
     # each distinct bit pattern is formatted once, so -0.0 and 0.0 (and
-    # every NaN payload) keep their own text
-    distinct, index = np.unique(chunk.view(np.uint64), return_inverse=True)
+    # every NaN payload) keep their own text; only the first value of each
+    # run of one pattern is sorted
+    bits = chunk.view(np.uint64)
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    distinct, index = np.unique(bits[heads], return_inverse=True)
     if len(distinct) == len(chunk):
         return list(map(repr, chunk.tolist()))
-    texts = list(map(repr, distinct.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, index.tolist()))
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return np.repeat(texts[index], np.diff(heads, append=len(chunk))).tolist()
 
 
 def write_csv(path, schema: CsvSchema, columns) -> Path:

@@ -34,6 +34,7 @@ below the elastic ones, so the beam is always in quasi-static balance.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,8 @@ class DisplacementTrace:
     sigma_bottom: np.ndarray
     max_residual: float
     final_state: ActuatorState
+    steady_index: int          # first sample of the cycle the records repeat, size if none
+    cycle_length: int          # samples per repeat of the coupled state, 0 if none
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,9 @@ def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
 # ---------------------------------------------------------------------------
 # coupled time stepping
 
+_STATE = struct.Struct("6d")    # the carried state as bits, so 0.0 and -0.0 differ
+
+
 def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
                    geom: ActuatorGeometry, dt: float,
                    initial: ActuatorState | None = None, period: int = 0) -> DisplacementTrace:
@@ -226,7 +232,7 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     drive returns initial unchanged, also a hand-built one.  Raises
     NumericError at the first sample whose temperature is non-finite.
 
-    Four shortcuts leave every bit as the step-by-step loop gives it:
+    Five shortcuts leave every bit as the step-by-step loop gives it:
 
     * The lagging wire's temperatures are copied.  If the bottom current
       from its first non-zero sample s on repeats the top one (i_b[s:]
@@ -247,6 +253,19 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
       temperature, which the arrays already hold, so the records are
       filled by slice up to the first step that exceeds A_s, and the
       branch is read there.
+    * With period P > 0, the coupled state is tiled from its exact cycle.
+      The six step inputs (both temperature, branch and anchor traces)
+      repeat every P samples after the last sample at which one of them
+      differs from its value P samples later.  From there the carried
+      state (xi, anchor xi and branch of each wire) is kept at every
+      period boundary, and a dormant skip stops at the next one; theta,
+      the stresses and the band are the balance of the xi pair.  The
+      first boundary whose state equals, bit for bit, that of an earlier
+      boundary closes a cycle: every later sample repeats it, so the
+      records of each whole cycle that still fits are copied from the
+      last one and the rest is stepped, ending on the true final_state.
+      Every residual of a copied cycle was already seen.  steady_index
+      and cycle_length report the cycle (size and 0 if none closes).
     """
     i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
@@ -281,10 +300,31 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     m_f_b, m_s_b, a_s_b, a_f_b = band(sigma_b)
     solved_t = solved_b = None     # the xi pair of the last balance solved
     exceeding = None               # the steps after which a wire is above A_s at (1, 1)
+    steady_index, cycle_length = size, 0
+    boundary = size                # the next sample at which the carried state is kept
+    if 0 < period < size:
+        boundary = 0
+        for inputs in (temps_t, temps_b, branches_t, anchors_t, branches_b, anchors_b):
+            changed = np.flatnonzero(inputs[period:] != inputs[:-period])
+            if changed.size:
+                boundary = max(boundary, int(changed[-1]) + 1)
+        kept = {}                  # carried state, bit for bit -> the boundary it was kept at
 
     max_resid = 0.0
     n = 0
     while n < size:
+        if n == boundary:
+            start = kept.setdefault(
+                _STATE.pack(xi_t, anc_xi_t, br_t, xi_b, anc_xi_b, br_b), n)
+            if start == n:
+                boundary += period
+            else:
+                steady_index, cycle_length = start, n - start
+                end = n + (size - n) // cycle_length * cycle_length
+                for out in outs:
+                    out[n:end].reshape(-1, cycle_length)[:] = out[start:n]
+                n, boundary = end, size
+                continue
         rec_theta[n] = theta
         rec_xi_t[n] = xi_t
         rec_xi_b[n] = xi_b
@@ -319,6 +359,8 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
                 exceeding = np.flatnonzero((temps_t[1:] > a_s_t) | (temps_b[1:] > a_s_b))
             k = exceeding.searchsorted(n)
             end = int(exceeding[k]) if k < exceeding.size else size
+            if end > boundary:
+                end = boundary
             out_theta[n:end] = theta
             out_xi_t[n:end] = 1.0
             out_xi_b[n:end] = 1.0
@@ -335,7 +377,8 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
         t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,
         theta=out_theta, temp_top=temps_t[:-1], temp_bottom=temps_b[:-1],
         xi_top=out_xi_t, xi_bottom=out_xi_b, sigma_top=out_sig_t, sigma_bottom=out_sig_b,
-        max_residual=max_resid, final_state=final)
+        max_residual=max_resid, final_state=final, steady_index=steady_index,
+        cycle_length=cycle_length)
 
 
 def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
@@ -344,7 +387,8 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
     """PWM drive to tip-displacement trace, the simulated laser measurement.
 
     With whole f and fs the drive repeats every fs / gcd(fs, f) samples,
-    and simulate_drive tiles both temperature traces from their fixed point.
+    and simulate_drive tiles both temperature traces from their fixed point
+    and the coupled state from its exact cycle, over the whole duration.
     """
     if duration < 2.0 * cfg.period:
         raise ParameterError(

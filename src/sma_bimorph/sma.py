@@ -182,23 +182,29 @@ def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff
     branch and anchor_t are the wire's after the step (_branch_trace);
     anchor_xi is xi before the step whenever the step switched branch.
     m_f_eff ... a_f_eff is the stress-shifted band, in the order of
-    transformation_temperatures.  Minor loops are proportionally rescaled
-    copies of the major branch through the reversal anchor, which keeps any
-    partial cycle inside the major loop envelope.  From xi and anchor_xi
-    in [0, 1] (WireState checks both) the result stays there: the heating
-    candidate is >= 0 and only lowers xi, the cooling one is <= 1 and only
-    raises it.  And xi = anchor_xi = 1 stays 1 exactly while temp and, on
-    the heating branch, anchor_t are at or below a_s_eff: heating gives
-    1 * 1.0 / 1.0, cooling 1 - 0 * x / d, and neither envelope clamp can
-    fire.
+    transformation_temperatures.  Outside the hysteresis envelope only one
+    phase exists, so at or below m_f_eff the result is 1.0 and otherwise at
+    or above a_f_eff 0.0, whatever the branch; these clamps are tested
+    first.  Minor loops are proportionally rescaled copies of the major
+    branch through the reversal anchor, which keeps any partial cycle
+    inside the major loop envelope.  From xi and anchor_xi in [0, 1]
+    (WireState checks both) the result stays there: the heating candidate
+    is >= 0 and only lowers xi, the cooling one is <= 1 and only raises
+    it.  And xi = anchor_xi = 1 stays 1 exactly while temp and, on the
+    heating branch, anchor_t are at or below a_s_eff: the M_f clamp gives
+    1.0, heating 1 * 1.0 / 1.0 and cooling 1 - 0 * x / d.
     """
+    if temp <= m_f_eff:
+        return 1.0
+    if temp >= a_f_eff:
+        return 0.0
     new_xi = xi
     if branch == BRANCH_HEATING:
         # major heating branch from xi = 1: 1 below A_s, half-cosine to 0 at A_f
         denom = (1.0 if anchor_t <= a_s_eff else 0.0 if anchor_t >= a_f_eff else
                  0.5 * (math.cos(math.pi * (anchor_t - a_s_eff) / (a_f_eff - a_s_eff)) + 1.0))
         if denom > 1e-12:
-            shape = (1.0 if temp <= a_s_eff else 0.0 if temp >= a_f_eff else
+            shape = (1.0 if temp <= a_s_eff else
                      0.5 * (math.cos(math.pi * (temp - a_s_eff) / (a_f_eff - a_s_eff)) + 1.0))
             cand = anchor_xi * shape / denom
         else:
@@ -210,19 +216,13 @@ def _phase_step(xi, temp, anchor_xi, anchor_t, branch, m_f_eff, m_s_eff, a_s_eff
         denom = 1.0 - (0.0 if anchor_t >= m_s_eff else 1.0 if anchor_t <= m_f_eff else 0.5 * (
             math.cos(math.pi * (anchor_t - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0))
         if denom > 1e-12:
-            formed = (0.0 if temp >= m_s_eff else 1.0 if temp <= m_f_eff else
+            formed = (0.0 if temp >= m_s_eff else
                       0.5 * (math.cos(math.pi * (temp - m_f_eff) / (m_s_eff - m_f_eff)) + 1.0))
             cand = 1.0 - (1.0 - anchor_xi) * (1.0 - formed) / denom
         else:
             cand = 1.0
         if cand > new_xi:   # cooling never lowers xi
             new_xi = cand
-
-    # outside the hysteresis envelope only one phase exists
-    if temp >= a_f_eff:
-        new_xi = 0.0
-    if temp <= m_f_eff:
-        new_xi = 1.0
     return new_xi
 
 

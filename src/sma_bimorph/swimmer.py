@@ -115,15 +115,18 @@ def run_swimmer(tail_commands, params: SwimmerParams, dt: float) -> np.recarray:
     flap_gain = 0.5 * params.rho * params.tail_lateral_cda \
         * (0.5 * params.tail_lever) ** 2 * params.tail_lever
     tail_lever, mass, yaw_damping = params.tail_lever, params.mass, params.yaw_damping
+    # _drag's factors bound once, multiplied in its order
+    quad_drag, linear_drag = 0.5 * params.rho * params.longitudinal_cda, params.linear_drag
 
-    out_x, out_y, out_psi, out_v, out_tail = (np.zeros(len(commands) + 1)
-                                              for _ in range(5))
+    outs = [np.zeros(len(commands) + 1) for _ in range(5)]
+    # written as Python floats without NumPy scalar overhead
+    out_x, out_y, out_psi, out_v, out_tail = map(memoryview, outs)
     x = y = psi = v = tail = 0.0
     # a float per step: tolist() would hold the whole trace as Python floats at once
     for n, command in enumerate(map(float, commands), 1):
         tail_rate = (command - tail) / dt
         thrust = thrust_gain * tail_rate * tail_rate
-        v = v + dt * ((thrust - _drag(v, params)) / mass)
+        v = v + dt * ((thrust - (quad_drag * v * v + linear_drag * v)) / mass)
         if v < 0.0:
             v = 0.0
         m_flap = flap_gain * tail_rate * abs(tail_rate)
@@ -139,8 +142,7 @@ def run_swimmer(tail_commands, params: SwimmerParams, dt: float) -> np.recarray:
         out_psi[n] = psi
         out_v[n] = v
         out_tail[n] = tail
-    return np.rec.fromarrays((out_x, out_y, out_psi, out_v, out_tail),
-                             names="x,y,psi,v,tail_angle")
+    return np.rec.fromarrays(outs, names="x,y,psi,v,tail_angle")
 
 
 def trajectory_columns(params: SwimmerParams, amplitude: float, frequency: float,

@@ -104,3 +104,18 @@ def test_ints_print_as_ints_and_signed_zeros_apart(tmp_path):
     path = write_csv(tmp_path / "i.csv", SPEED_SCAN_SCHEMA,
                      [[3, 0, 0], np.array([-0.0, 0.0, -0.0])])
     assert path.read_text().splitlines()[1:] == ["3,-0.0", "0,0.0", "0,-0.0"]
+
+
+def test_runs_of_zeros_and_nan_payloads_keep_their_text_across_chunks(tmp_path):
+    # runs of one bit pattern cross chunk boundaries, and 0.0 comes back after
+    # other runs; each value keeps its own text whatever run it is in
+    nan_a, nan_b = np.array([0x7FF8000000000001, 0xFFF8000000000002], np.uint64).view(np.float64)
+    runs = [(0.0, CHUNK_ROWS - 3), (-0.0, 7), (nan_a, CHUNK_ROWS), (nan_b, 5), (0.0, 4),
+            (-0.0, CHUNK_ROWS + 2)]
+    column = np.concatenate([np.full(n, value) for value, n in runs])
+    assert len(set(column.view(np.uint64)[np.cumsum([n for _, n in runs]) - 1])) == 4
+    columns = [column, column[::-1].copy()]
+    path = write_csv(tmp_path / "runs.csv", SPEED_SCAN_SCHEMA, columns)
+    texts = [text for value, n in runs for text in [repr(float(value))] * n]
+    assert path.read_text().splitlines()[1:] == list(map(",".join, zip(texts, texts[::-1])))
+    assert path.read_bytes() == naive_csv(SPEED_SCAN_SCHEMA, columns).encode("utf-8")

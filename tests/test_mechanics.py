@@ -252,26 +252,71 @@ class TestStepActuator:
         direct = temperature_trace(drive.i_b, 330.0, props, env, 1 / 2000.0)
         assert np.array_equal(trace.temp_bottom, direct[:-1])
 
-    @pytest.mark.parametrize("frequency, duty, mode, multiplier", [
-        (5.0, 0.03, "bimorph", 1.0), (1.0, 0.10, "bimorph", 1.0),
-        (20.0, 0.10, "bimorph", 1.0), (2.0, 0.40, "unimorph-up", 1.0),
-        (3.0, 0.12, "bimorph", 1.5),
-    ], ids=["5hz-zero", "1hz", "20hz", "2hz-unimorph-up", "3hz-water"])
+    @pytest.mark.parametrize(
+        "frequency, duty, mode, multiplier, duration, steady_index, cycle_length", [
+            (5.0, 0.03, "bimorph", 1.0, 30.0, 13801, 400),
+            (1.0, 0.10, "bimorph", 1.0, 30.0, 15001, 2000),
+            (20.0, 0.10, "bimorph", 1.0, 30.0, 13651, 100),
+            (2.0, 0.40, "unimorph-up", 1.0, 30.0, 14401, 1000),
+            (3.0, 0.12, "bimorph", 1.5, 30.0, 60000, 0),
+            (15.0, 0.10, "bimorph", 1.0, 40.0, 48268, 8400),
+            (5.0, 0.10, "bimorph", 1.0, 30.0, 24201, 4400),
+            (1.0, 0.08, "bimorph", 1.0, 30.0, 60000, 0),
+            (1.0, 0.10, "bimorph", 1.0, 30.3, 15001, 2000),
+            (10.0, 0.10, "bimorph", 1.0, 4.0, 8000, 0),
+        ], ids=["5hz-zero", "1hz", "20hz", "2hz-unimorph-up", "3hz-water", "15hz-21-periods",
+                "5hz-11-periods", "1hz-8pct-never", "1hz-30.3s", "10hz-4s"])
     def test_tiled_temperatures_keep_every_bit(self, props, env, geom, circuit, monkeypatch,
-                                               frequency, duty, mode, multiplier):
+                                               frequency, duty, mode, multiplier, duration,
+                                               steady_index, cycle_length):
         # run_mode_trace passes the drive's period, so both temperature traces
-        # are tiled from their fixed point; stepping every sample gives the same bits
+        # are tiled from their fixed point and the coupled state from its exact
+        # cycle; stepping every sample gives the same bits.  5 Hz/3% never
+        # leaves martensite, so its cycle is found only because each skip stops
+        # at the next period boundary; at 5 Hz/10% the xi pairs at samples
+        # 23801 and 28201 agree and their anchor xi do not; 30.3 s ends inside
+        # a period; and within 4 s at 10 Hz the carried state repeats at
+        # boundaries while the temperatures still rise
         cfg = PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode)
         side = replace(env, convection_multiplier=multiplier)
+        drive = make_pwm_pair(cfg, circuit, duration)
+        size = drive.i_t.size
         calls = spy_temperature_traces(monkeypatch)
-        tiled = run_mode_trace(cfg, circuit, props, side, geom, 30.0)
-        assert calls[0] == (60000, 2000 // math.gcd(2000, int(frequency)))
-        drive = make_pwm_pair(cfg, circuit, 30.0)
+        tiled = run_mode_trace(cfg, circuit, props, side, geom, duration)
+        assert calls[0] == (size, 2000 // math.gcd(2000, int(frequency)))
         stepped = simulate_drive(drive.i_t, drive.i_b, props, side, geom, 1 / 2000.0)
         for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(tiled, name), getattr(stepped, name)), name
         assert tiled.final_state == stepped.final_state
         assert tiled.max_residual == stepped.max_residual
+        assert (tiled.steady_index, tiled.cycle_length) == (steady_index, cycle_length)
+        assert (stepped.steady_index, stepped.cycle_length) == (size, 0)
+        if cycle_length:
+            # at least one whole cycle is copied, and the records repeat from steady_index
+            assert steady_index + 2 * cycle_length <= size
+            for name in ("theta", "xi_top", "xi_bottom"):
+                values = getattr(tiled, name)[steady_index:]
+                assert np.array_equal(values[cycle_length:], values[:-cycle_length]), name
+
+    @pytest.mark.parametrize("frequency, split", [(1.0, 40123), (15.0, 59000)],
+                             ids=["1hz-inside-a-copied-cycle", "15hz-after-its-cycle"])
+    def test_split_past_the_cycle_continues_bit_for_bit(self, props, env, geom, circuit,
+                                                        frequency, split):
+        # both parts are tiled from their own cycle; the head's final_state is
+        # the state at its last sample, not where its cycle closed
+        drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=0.10), circuit, 40.0)
+        period = 2000 // math.gcd(2000, int(frequency))
+        whole = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0)
+        head = simulate_drive(drive.i_t[:split], drive.i_b[:split], props, env, geom,
+                              1 / 2000.0, period=period)
+        assert head.cycle_length and head.steady_index + head.cycle_length < split
+        tail = simulate_drive(drive.i_t[split:], drive.i_b[split:], props, env, geom,
+                              1 / 2000.0, initial=head.final_state, period=period)
+        for name in TRACE_ARRAYS[1:]:
+            joined = np.concatenate((getattr(head, name), getattr(tail, name)))
+            assert np.array_equal(joined, getattr(whole, name)), name
+        assert tail.final_state == whole.final_state
+        assert max(head.max_residual, tail.max_residual) == whole.max_residual
 
     def test_non_finite_initial_temperature_names_sample_0(self, props, env, geom):
         initial = relaxed_actuator(env)
