@@ -228,7 +228,10 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigError(f"{section}.{key}: unknown key")
             tag, owner, name, convert = _KEYS[section][key]
             value = _check_type(f"{section}.{key}", tag, value)
-            fields.setdefault(owner, {})[name] = convert(value) if convert else value
+            value = convert(value) if convert else value
+            if tag == "number_list" and len(set(value)) < len(value):
+                raise ConfigError(f"{section}.{key}: entries must be distinct")
+            fields.setdefault(owner, {})[name] = value
 
     def build(section, owner, **derived):
         given = fields.get(owner, {})

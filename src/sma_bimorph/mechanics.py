@@ -232,16 +232,13 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     drive returns initial unchanged, also a hand-built one.  Raises
     NumericError at the first sample whose temperature is non-finite.
 
-    Five shortcuts leave every bit as the step-by-step loop gives it:
+    Four shortcuts leave every bit as the step-by-step loop gives it:
 
-    * The lagging wire's temperatures are copied.  If the bottom current
-      from its first non-zero sample s on repeats the top one (i_b[s:]
-      equals i_t[:n - s], as for PWM channels half a period apart) and its
-      first s steps end on the top wire's start temperature, the rest of
-      its trace is temps_t[1:n + 1 - s], since sma.temperature_trace is a
-      pure recurrence in (temperature, current).
-    * With period P > 0, both temperature traces are tiled from their exact
-      fixed point (sma.temperature_trace).
+    * Both temperature traces share one memo of PWM segments
+      (sma.temperature_trace), so a segment that starts at an equal
+      temperature with an equal current and length is copied: from the
+      other wire, whose channel repeats this one half a period later, or
+      from an earlier period once the drive reaches its fixed point.
     * _balance is a pure function of the xi pair, so it is solved only at
       the first step and when the pair differs from the last pair solved.
     * Dormant stretches are skipped.  Once a step n leaves
@@ -272,15 +269,9 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
         initial = relaxed_actuator(env)
     top, bottom = initial.top, initial.bottom
     size = i_t.size
-    temps_t = temperature_trace(i_t, top.temperature, props, env, dt, period)
-    temps_b = None
-    lag = int(np.argmax(i_b != 0.0)) if size else 0    # the bottom channel's first current
-    if lag and np.array_equal(i_b[lag:], i_t[:size - lag]):
-        head = temperature_trace(i_b[:lag], bottom.temperature, props, env, dt)
-        if head[-1] == temps_t[0]:
-            temps_b = np.concatenate((head, temps_t[1:size + 1 - lag]))
-    if temps_b is None:
-        temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt, period)
+    memo = {}
+    temps_t = temperature_trace(i_t, top.temperature, props, env, dt, memo)
+    temps_b = temperature_trace(i_b, bottom.temperature, props, env, dt, memo)
     _require_finite(temps_t, temps_b)
     branches_t, anchors_t = _branch_trace(temps_t, top.branch, top.anchor_t)
     branches_b, anchors_b = _branch_trace(temps_b, bottom.branch, bottom.anchor_t)
@@ -387,8 +378,8 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
     """PWM drive to tip-displacement trace, the simulated laser measurement.
 
     With whole f and fs the drive repeats every fs / gcd(fs, f) samples,
-    and simulate_drive tiles both temperature traces from their fixed point
-    and the coupled state from its exact cycle, over the whole duration.
+    and simulate_drive tiles the coupled state from its exact cycle at
+    those period boundaries, over the whole duration.
     """
     if duration < 2.0 * cfg.period:
         raise ParameterError(

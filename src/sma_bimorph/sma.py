@@ -11,9 +11,9 @@ martensite fraction xi.  Three laws compose:
   holds no latent-heat term, so it reads neither the stress nor xi: a
   wire's whole temperature trace is computed first (temperature_trace),
   and the phase is then stepped over it (_phase_step).  Each RK4 step is
-  a pure function of (temperature, current), which two exact shortcuts
-  use: temperature_trace tiles a periodic drive from its fixed point, and
-  mechanics.simulate_drive copies a lagging wire's trace from the other's.
+  a pure function of (temperature, current), so temperature_trace copies
+  each repeat of a PWM segment, also across the two wires of
+  mechanics.simulate_drive.
 
 * Cosine transformation kinetics with linear stress shift.  The
   transformation bands move up with tensile stress,
@@ -234,37 +234,43 @@ def _tension_from_kinematics(eps_kin, xi, e_a, e_m, eps_l):
 
 
 def temperature_trace(currents, temperature, props: WireProperties, env: Environment,
-                      dt: float, period: int = 0) -> np.ndarray:
+                      dt: float, memo: dict | None = None) -> np.ndarray:
     """Temperatures of a wire at t_0 ... t_n, starting from temperature.
 
     currents is a float array of n samples, read as Python floats and each
     held over its step of dt; entry k of the result is the temperature
     after k classical RK4 steps of the heat balance (module docstring).
-    The balance reads neither the stress nor xi, so a wire's whole
-    temperature trace is known before its phase is stepped.  Each step is a
-    pure function of (temperature, current), so equal currents from an equal
-    temperature repeat a trace bit for bit; mechanics.simulate_drive copies
-    a lagging wire's trace on that ground.
 
-    With a period P > 0 and currents[P:] equal to currents[:-P], the steps
-    run one period at a time, and from the first boundary k whose temps[k]
-    equals temps[k - P] the rest is tiled from the last period, exactly for
-    the same reason (the periodic steady state of Aprille & Trick 1972,
-    Proc. IEEE 60:108).  A NaN never matches.
+    The steps run one PWM segment (a run of equal currents) at a time.  Each
+    step is a pure function of (temperature, current), so a segment whose
+    start temperature, current and length key an entry of memo repeats it
+    bit for bit and is copied; any other is stepped and stored there, as a
+    view of the result.  A memo shared by two wires reuses either's
+    segments, and a periodic drive tiles itself from its fixed point (the
+    periodic steady state of Aprille & Trick 1972, Proc. IEEE 60:108).
+    Keys match 0.0 with -0.0, which step alike (each slope at 0 K is >= 0);
+    a NaN never matches.
     """
     resistance = props.resistance
     h_area = props.h * env.convection_multiplier * props.lateral_area
     cap = props.heat_capacity
     t_amb = env.t_amb
+    memo = {} if memo is None else memo
     size = currents.size
-    if not (0 < period < size and np.array_equal(currents[period:], currents[:-period])):
-        period = max(size, 1)    # one chunk, no boundary to compare
     temps = np.empty(size + 1)
     out = memoryview(temps)    # stores Python floats without NumPy scalar overhead
     temp = out[0] = temperature
-    for start in range(0, size, period):
-        for k, current in enumerate(currents[start:start + period].tolist(), start + 1):
-            q = current * current * resistance
+    edges = [0, *(np.flatnonzero(currents[1:] != currents[:-1]) + 1).tolist(), size]
+    for start, end in zip(edges, edges[1:] if size else ()):    # none in an empty drive
+        current = float(currents[start])
+        key = (temp, current, end - start)
+        segment = memo.get(key)
+        if segment is not None:
+            temps[start + 1:end + 1] = segment
+            temp = out[end]
+            continue
+        q = current * current * resistance
+        for k in range(start + 1, end + 1):
             k1 = (q - h_area * (temp - t_amb)) / cap
             t2 = temp + 0.5 * dt * k1
             k2 = (q - h_area * (t2 - t_amb)) / cap
@@ -274,9 +280,7 @@ def temperature_trace(currents, temperature, props: WireProperties, env: Environ
             k4 = (q - h_area * (t4 - t_amb)) / cap
             temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             out[k] = temp
-        if k < size and temp == out[k - period]:
-            temps[k + 1:] = np.resize(temps[k + 1 - period:k + 1], size - k)
-            break
+        memo[key] = temps[start + 1:end + 1]
     return temps
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ParameterError
+from .sma import MAX_STEP
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ def run_swimmer(tail_commands, params: SwimmerParams, dt: float) -> np.recarray:
     deflection, both odd in the tail motion, damped by the head's lateral
     drag.  Raises NumericError at the first non-finite state.
     """
-    if not 0.0 < dt <= 1e-3:
-        raise ParameterError(f"dt must be in (0, 1 ms], got {dt}")
+    if not 0.0 < dt <= MAX_STEP:
+        raise ParameterError(f"dt must be in (0, {MAX_STEP * 1e3:g} ms], got {dt}")
     commands = np.asarray(tail_commands, np.float64)
     thrust_gain = 2.0 * params.thrust_coeff
     # lateral tail speed taken at the area centroid, half the tip lever

@@ -247,12 +247,19 @@ class TestCliProcess:
         ("drive:\n  on_height_v: 15.0\n", "drive.on_height_v: unknown key"),
         ("geometry:\n  mass_kg: 1.0e-5\n", "geometry.mass_kg: unknown key"),
         ("geometry:\n  volume_m3: 4.8e-9\n", "geometry.volume_m3: unknown key"),
+        ("metrology:\n  frequencies_hz: [5, 5.0]\n  duty_cycles_pct: [10]\n",
+         "metrology.frequencies_hz: entries must be distinct"),
+        ("metrology:\n  duty_cycles_pct: [10, 5, 10.0]\n",
+         "metrology.duty_cycles_pct: entries must be distinct"),
+        ("swimmer:\n  scan_frequencies_hz: [2, 1, 2.0]\n",
+         "swimmer.scan_frequencies_hz: entries must be distinct"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
             "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
             "calibration-target-zero-frequency", "sweep-frequency-negative",
             "sweep-duty-cycle-above-100", "sweep-cell-overlap", "sweep-cell-short-window",
             "calibration-cell-one-period", "drive-overlap", "swim-cell-one-period",
-            "drive-on-height", "geometry-mass", "geometry-volume"])
+            "drive-on-height", "geometry-mass", "geometry-volume", "sweep-frequency-duplicate",
+            "sweep-duty-cycle-duplicate", "swim-scan-duplicate"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

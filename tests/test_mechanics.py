@@ -18,12 +18,15 @@ TRACE_ARRAYS = ("t", "delta", "theta", "temp_top", "temp_bottom", "xi_top", "xi_
 
 
 def spy_temperature_traces(monkeypatch):
-    """(samples, period) of every temperature trace simulate_drive steps."""
+    """(segments, memo entries added, memo) of every temperature trace simulate_drive steps."""
     calls = []
 
-    def spy(currents, temperature, props, env, dt, period=0):
-        calls.append((currents.size, period))
-        return temperature_trace(currents, temperature, props, env, dt, period)
+    def spy(currents, temperature, props, env, dt, memo=None):
+        before = len(memo)
+        temps = temperature_trace(currents, temperature, props, env, dt, memo)
+        segments = np.count_nonzero(currents[1:] != currents[:-1]) + 1 if currents.size else 0
+        calls.append((segments, len(memo) - before, memo))
+        return temps
 
     monkeypatch.setattr(mechanics, "temperature_trace", spy)
     return calls
@@ -208,14 +211,17 @@ class TestStepActuator:
     ], ids=["1hz", "5hz", "10hz", "15hz-fallback", "20hz"])
     def test_bottom_wire_copy_is_its_own_trace(self, props, env, geom, circuit, monkeypatch,
                                                frequency, copied, multiplier):
-        # channel B is channel A delayed by half a period, so the bottom
-        # temperatures are copied from the top trace; at 15 Hz the half period
-        # is no whole number of samples and the bottom trace is stepped in full
+        # channel B is channel A delayed by half a period, so the bottom wire
+        # copies every segment from the top one's but its head and its cut
+        # last segment; at 15 Hz the half period is no whole number of
+        # samples and each bottom segment is stepped
         side = replace(env, convection_multiplier=multiplier)
         drive = make_pwm_pair(PwmConfig(frequency=frequency, duty_cycle=0.10), circuit, 4.0)
         calls = spy_temperature_traces(monkeypatch)
         trace = simulate_drive(drive.i_t, drive.i_b, props, side, geom, 1 / 2000.0)
-        assert (sum(size for size, _ in calls) < 2 * drive.i_b.size) == copied
+        (_, _, memo), (segments, added, shared) = calls
+        assert shared is memo
+        assert added == (2 if copied else segments)
         direct = temperature_trace(drive.i_b, side.t_amb, props, side, 1 / 2000.0)
         assert np.array_equal(trace.temp_bottom, direct[:-1])
         assert trace.final_state.bottom.temperature == direct[-1]
@@ -233,7 +239,7 @@ class TestStepActuator:
         calls = spy_temperature_traces(monkeypatch)
         tail = simulate_drive(drive.i_t[split:], drive.i_b[split:], props, env, geom,
                               1 / 2000.0, initial=start)
-        assert [size for size, _ in calls] == [drive.i_t.size - split, 1000]
+        assert [(segments, added) for segments, added, _ in calls] == [(6, 6), (7, 2)]
         direct = temperature_trace(drive.i_b[split:], start.bottom.temperature, props, env,
                                    1 / 2000.0)
         assert np.array_equal(tail.temp_bottom, direct[:-1])
@@ -241,14 +247,15 @@ class TestStepActuator:
     def test_bottom_wire_from_another_temperature_is_stepped(self, props, env, geom, circuit,
                                                              monkeypatch):
         # a bottom wire that starts hotter ends its first half period away
-        # from the top wire's start temperature, so nothing is copied
+        # from the top wire's start temperature, so each of its segments is
+        # stepped
         drive = make_pwm_pair(PwmConfig(frequency=1.0, duty_cycle=0.10), circuit, 4.0)
         initial = relaxed_actuator(env)
         initial = replace(initial, bottom=replace(initial.bottom, temperature=330.0))
         calls = spy_temperature_traces(monkeypatch)
         trace = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
                                initial=initial)
-        assert [size for size, _ in calls] == [8000, 1000, 8000]
+        assert [(segments, added) for segments, added, _ in calls] == [(8, 8), (9, 9)]
         direct = temperature_trace(drive.i_b, 330.0, props, env, 1 / 2000.0)
         assert np.array_equal(trace.temp_bottom, direct[:-1])
 
@@ -269,9 +276,10 @@ class TestStepActuator:
     def test_tiled_temperatures_keep_every_bit(self, props, env, geom, circuit, monkeypatch,
                                                frequency, duty, mode, multiplier, duration,
                                                steady_index, cycle_length):
-        # run_mode_trace passes the drive's period, so both temperature traces
-        # are tiled from their fixed point and the coupled state from its exact
-        # cycle; stepping every sample gives the same bits.  5 Hz/3% never
+        # both temperature traces share one segment memo, which tiles them from
+        # their fixed point, and run_mode_trace passes the drive's period, so
+        # the coupled state is tiled from its exact cycle; stepping every
+        # coupled sample gives the same bits.  5 Hz/3% never
         # leaves martensite, so its cycle is found only because each skip stops
         # at the next period boundary; at 5 Hz/10% the xi pairs at samples
         # 23801 and 28201 agree and their anchor xi do not; 30.3 s ends inside
@@ -283,7 +291,7 @@ class TestStepActuator:
         size = drive.i_t.size
         calls = spy_temperature_traces(monkeypatch)
         tiled = run_mode_trace(cfg, circuit, props, side, geom, duration)
-        assert calls[0] == (size, 2000 // math.gcd(2000, int(frequency)))
+        assert calls[0][2] is calls[1][2]
         stepped = simulate_drive(drive.i_t, drive.i_b, props, side, geom, 1 / 2000.0)
         for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(tiled, name), getattr(stepped, name)), name

@@ -1,8 +1,10 @@
 """Smoke test: the example scripts run end to end and write their CSVs.
 
-characterize.py is left out: its 50-cell sweep of 30 s cells takes about 15-20 s.
+characterize.py runs with --skip-calibration: its 50-cell sweep of 30 s cells at
+the nominal constants takes a few seconds, and its CSV pins the default grid's bytes.
 """
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from sma_bimorph import parse_config
-from sma_bimorph.csvio import POWER_SCHEMA, SPEED_SCAN_SCHEMA, TRAJECTORY_SCHEMA
+from sma_bimorph.csvio import (POWER_SCHEMA, SPEED_SCAN_SCHEMA, SWEEP_SCHEMA,
+                               TRAJECTORY_SCHEMA)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,3 +35,17 @@ def test_script_writes_its_csvs(tmp_path, script, outputs):
             # the trajectory of `bimorph swim`: the steady window at the sample rate
             cfg = parse_config("")
             assert len(rows) == round(cfg.steady_window * cfg.pwm.sample_rate) == 30000
+
+
+def test_characterize_keeps_the_default_grid_bytes(tmp_path):
+    # the default 50-cell 30 s sweep, the CSV of `bimorph sweep` with no config
+    result = subprocess.run([sys.executable, str(SCRIPTS / "characterize.py"),
+                             "--skip-calibration", "--out", str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    path = tmp_path / "characterization_sweep.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == SWEEP_SCHEMA.header
+    assert len(rows) == 50
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a0a16ac01274fda547132f2d56fd1f9c69333e12388043f68a3ec3e68bb87ee7")

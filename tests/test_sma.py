@@ -108,28 +108,93 @@ def pulses(n):
     return np.where(np.arange(n) % 400 < 40, 0.25, 0.0)
 
 
+def stepped_temperatures(currents, temperature, props, env, dt):
+    """Independent oracle: the RK4 heat balance stepped at every sample, nothing reused."""
+    resistance = props.resistance
+    h_area = props.h * env.convection_multiplier * props.lateral_area
+    cap = props.heat_capacity
+    t_amb = env.t_amb
+    temp = temperature
+    temps = [temp]
+    for current in currents.tolist():
+        q = current * current * resistance
+        k1 = (q - h_area * (temp - t_amb)) / cap
+        t2 = temp + 0.5 * dt * k1
+        k2 = (q - h_area * (t2 - t_amb)) / cap
+        t3 = temp + 0.5 * dt * k2
+        k3 = (q - h_area * (t3 - t_amb)) / cap
+        t4 = temp + dt * k3
+        k4 = (q - h_area * (t4 - t_amb)) / cap
+        temp = temp + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        temps.append(temp)
+    return np.array(temps)
+
+
+def segment_count(currents):
+    """Runs of equal currents, the PWM segments temperature_trace steps."""
+    return np.count_nonzero(currents[1:] != currents[:-1]) + 1 if currents.size else 0
+
+
 class TestPeriodTiling:
-    # period=400 tiles a 400-periodic current from the first period boundary
-    # whose temperature repeats; stepping every sample gives the same bits
+    # temperature_trace reuses every segment whose start temperature, current
+    # and length it has stepped before, which tiles a periodic current from
+    # its fixed point; stepping every sample gives the same bits
 
     @pytest.mark.parametrize("n", [20 * 2000, 20 * 2000 + 123], ids=["whole", "partial"])
     def test_periodic_current_tiles_bit_for_bit(self, props, env, n):
         # the fixed point lies inside the run, so its tail is a repeat; a run
-        # that ends inside a period fills its last partial period
+        # that ends inside a period ends on a shorter segment of its own
         current = pulses(n)
-        direct = temperature_trace(current, env.t_amb, props, env, 5e-4)
+        direct = stepped_temperatures(current, env.t_amb, props, env, 5e-4)
         assert np.array_equal(direct[n - 400:n], direct[n - 800:n - 400])
-        tiled = temperature_trace(current, env.t_amb, props, env, 5e-4, period=400)
-        assert np.array_equal(tiled, direct)
+        memo = {}
+        tiled = temperature_trace(current, env.t_amb, props, env, 5e-4, memo)
+        assert tiled.tobytes() == direct.tobytes()
+        assert len(memo) < segment_count(current) // 2
 
     def test_non_periodic_current_is_not_tiled(self, props, env):
         # one extra on-sample after the fixed point breaks the repeat
         current = pulses(20 * 2000)
         current[-10] = 0.25
-        direct = temperature_trace(current, env.t_amb, props, env, 5e-4)
+        direct = stepped_temperatures(current, env.t_amb, props, env, 5e-4)
         assert not np.array_equal(direct[-400:], direct[-800:-400])
-        tiled = temperature_trace(current, env.t_amb, props, env, 5e-4, period=400)
-        assert np.array_equal(tiled, direct)
+        tiled = temperature_trace(current, env.t_amb, props, env, 5e-4)
+        assert tiled.tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("name", ["constant", "empty", "random", "square-from-rest",
+                                      "overflow-at-37"])
+    def test_every_drive_steps_like_the_oracle(self, props, env, name):
+        # from rest, the rest segment of the square wave ends on t_amb, where
+        # the on segment of the same length starts; 1e200 A overflows the
+        # temperature at sample 37
+        rng = np.random.default_rng(7)
+        current = {
+            "constant": np.full(3000, 0.25),
+            "empty": np.zeros(0),
+            "random": rng.uniform(0.0, 0.3, 3000),
+            "square-from-rest": np.where(np.arange(4000) % 400 < 200, 0.0, 0.25),
+            "overflow-at-37": np.where(np.arange(100) < 37, 0.0, 1e200),
+        }[name]
+        memo = {}
+        temps = temperature_trace(current, env.t_amb, props, env, 5e-4, memo)
+        assert temps.tobytes() == stepped_temperatures(current, env.t_amb, props, env,
+                                                       5e-4).tobytes()
+        assert len(memo) <= segment_count(current)
+        if name == "empty":
+            assert temps.tolist() == [env.t_amb] and not memo
+        if name == "overflow-at-37":
+            assert np.flatnonzero(~np.isfinite(temps))[0] == 38
+
+    def test_shared_memo_copies_equal_segments_bit_for_bit(self, props, env):
+        # a second trace from -0.0 K copies every segment of one from 0.0 K
+        current = pulses(2000)
+        memo = {}
+        temperature_trace(current, 0.0, props, env, 5e-4, memo)
+        entries = len(memo)
+        temps = temperature_trace(current, -0.0, props, env, 5e-4, memo)
+        assert len(memo) == entries
+        assert temps[1:].tobytes() == stepped_temperatures(current, -0.0, props, env,
+                                                           5e-4)[1:].tobytes()
 
 
 class TestPhaseKinetics:
