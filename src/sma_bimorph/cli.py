@@ -4,7 +4,7 @@ Commands
     simulate   tip-displacement trace of the configured drive
     sweep      AMADO over the frequency x duty-cycle grid
     power      instantaneous/average electrical power of the drive
-    calibrate  fit free parameters to the configured AMADO targets
+    calibrate  fit free parameters to AMADO targets; writes the config at the fit
     swim       swimmer trajectory and speed-vs-frequency scan
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error (a non-finite
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import swimmer as swim_mod
 from .calibration import calibrate
-from .config import ScenarioConfig, parse_config
+from .config import ScenarioConfig, fitted_config_text, parse_config
 from .csvio import (POWER_SCHEMA, SPEED_SCAN_SCHEMA, SWEEP_SCHEMA, TRACE_SCHEMA,
                     TRAJECTORY_SCHEMA, write_csv)
 from .drive import average_power, make_pwm_pair
@@ -84,7 +84,9 @@ def cmd_calibrate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     report.parent.mkdir(parents=True, exist_ok=True)
     report.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
-    return [report]
+    fitted = out_dir / f"{cfg.scenario}_fitted.yaml"
+    fitted.write_text(fitted_config_text(cfg, result.parameters), encoding="utf-8")
+    return [report, fitted]
 
 
 def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:

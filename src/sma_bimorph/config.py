@@ -48,6 +48,7 @@ class ScenarioConfig:
     scenario: str = "default"
     out_dir: str = "out"
     warnings: tuple = field(default_factory=tuple)
+    mapping: dict = field(default_factory=dict, compare=False, repr=False)  # the file, validated
 
     @property
     def protocol(self) -> Protocol:
@@ -158,7 +159,7 @@ _KEYS = {
 
 
 def _is_number(value):
-    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+    return isinstance(value, _NUMBER) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _numbers(path, value, expected, length=None):
@@ -268,7 +269,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     cfg = ScenarioConfig(pwm=pwm, circuit=circuit, props=props, env=env, geom=geom,
                          fir=fir, swimmer=swimmer, calibration=calibration,
-                         warnings=tuple(warnings), **fields.get(ScenarioConfig, {}))
+                         warnings=tuple(warnings), mapping=raw, **fields.get(ScenarioConfig, {}))
     if cfg.duration <= 0:
         raise ConfigError(f"drive.duration_s: must be > 0, got {cfg.duration}")
     try:
@@ -299,3 +300,20 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{path}: cell (f={f:g} Hz, DC={dc * 100:g}%) cannot be "
                               f"measured: {exc}") from exc
     return cfg
+
+
+def free_parameter_keys() -> dict:
+    """calibration.FREE_PARAMETERS name -> (section, key) of the key that sets it."""
+    return {name: next((section, key) for section, keys in _KEYS.items()
+                       for key, (_, cls, field_name, _) in keys.items()
+                       if cls is ScenarioConfig.__annotations__[owner] and field_name == attr)
+            for name, (owner, attr) in FREE_PARAMETERS.items()}
+
+
+def fitted_config_text(cfg: ScenarioConfig, parameters: dict) -> str:
+    """cfg's file as YAML text, with each named free parameter's key set to its value."""
+    mapping = {section: dict(content or {}) for section, content in cfg.mapping.items()}
+    for name, (section, key) in free_parameter_keys().items():
+        if name in parameters:
+            mapping.setdefault(section, {})[key] = parameters[name]
+    return yaml.safe_dump(mapping, sort_keys=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from sma_bimorph.calibration import apply_parameters
 from sma_bimorph.cli import run_scenario
 from sma_bimorph.config import parse_config
 
@@ -32,3 +33,7 @@ def test_workload_passes_the_benchmark_checks(tmp_path, name):
     assert problems == [] and failed_cells == 0
     if name == "calibrate":
         assert checks.recheck_calibration(cfg, report) == []
+        # the fitted config holds the reported parameters, bit for bit
+        fitted = parse_config(paths[1].read_text(encoding="utf-8"))
+        assert (fitted.props, fitted.env, fitted.geom) == apply_parameters(
+            report["parameters"], cfg.props, cfg.env, cfg.geom)

@@ -8,6 +8,7 @@ import pytest
 
 from sma_bimorph import AmadoResult, SweepTable, cli, parse_config
 from sma_bimorph.cli import run_scenario
+from sma_bimorph.config import _KEYS
 from sma_bimorph.csvio import write_csv
 from sma_bimorph.errors import ConfigError
 
@@ -63,6 +64,25 @@ class TestParseConfig:
     def test_not_yaml_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("drive: [unclosed\n")
+
+    def test_non_finite_numbers_name_their_key(self):
+        # NaN passes every `value <= 0` field check; .inf overflowed int()
+        probes = [(f"{section}.{key}",
+                   f"{section}:\n  {key}: {f'[{value}]' if tag == 'number_list' else value}\n")
+                  for section, keys in _KEYS.items()
+                  for key, (tag, *_) in keys.items()
+                  if tag in ("number", "integer", "number_list")
+                  for value in (".nan", ".inf", "-.inf")]
+        assert len(probes) == 183
+        missed = []
+        for path, text in probes:
+            try:
+                parse_config(text)
+                missed.append(f"{text!r} accepted")
+            except ConfigError as exc:
+                if path not in str(exc):
+                    missed.append(f"{text!r}: {exc}")
+        assert missed == []
 
     def test_calibration_section_round_trip(self):
         cfg = parse_config(
@@ -253,13 +273,14 @@ class TestCliProcess:
          "metrology.duty_cycles_pct: entries must be distinct"),
         ("swimmer:\n  scan_frequencies_hz: [2, 1, 2.0]\n",
          "swimmer.scan_frequencies_hz: entries must be distinct"),
+        ("drive:\n  duration_s: .inf\n", "drive.duration_s: expected a number, got inf"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
             "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
             "calibration-target-zero-frequency", "sweep-frequency-negative",
             "sweep-duty-cycle-above-100", "sweep-cell-overlap", "sweep-cell-short-window",
             "calibration-cell-one-period", "drive-overlap", "swim-cell-one-period",
             "drive-on-height", "geometry-mass", "geometry-volume", "sweep-frequency-duplicate",
-            "sweep-duty-cycle-duplicate", "swim-scan-duplicate"])
+            "sweep-duty-cycle-duplicate", "swim-scan-duplicate", "drive-duration-inf"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sma_bimorph import (FirSpec, Protocol, PwmConfig, compute_amado, design_fir,
-                         filter_zero_phase, run_sweep)
+                         filter_zero_phase, measure_amado, run_sweep)
 from sma_bimorph.errors import ParameterError, WindowError
 
 
@@ -228,3 +229,16 @@ class TestCalibratedSweepTrends:
     def test_max_amado_strictly_decreasing_in_frequency(self, calibrated_sweep):
         values = [calibrated_sweep.av_max[f] for f in (1.0, 5.0, 10.0, 15.0, 20.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the phase step reads the previous step's stress, and the loop stress -> xi -> "
+    "stress has a gain far above 1; at t_amb - 1e-6 / t_amb / t_amb + 1e-6 K the "
+    "AMADO reads 3.233 / 3.310 / 3.617 mm at 1 Hz/5% (an 11.6% spread) and "
+    "0.380 / 0.349 / 0.348 mm at 10 Hz/10% (9.2%)"))
+def test_amado_is_well_conditioned_in_ambient_temperature(props, env, geom, circuit):
+    for frequency, duty_cycle in ((1.0, 0.05), (10.0, 0.10)):
+        amado = [measure_amado(Protocol(), frequency, duty_cycle, circuit, props,
+                               replace(env, t_amb=env.t_amb + dt), geom).amado
+                 for dt in (-1e-6, 0.0, 1e-6)]
+        assert max(amado) - min(amado) < 0.01 * amado[1], (frequency, duty_cycle, amado)
