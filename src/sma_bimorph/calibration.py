@@ -15,7 +15,7 @@ a given problem.  The fit stops early once the loss reaches LOSS_FLOOR.
 from dataclasses import dataclass, field, replace
 
 from .drive import CircuitParams, PwmConfig
-from .errors import ParameterError
+from .errors import require
 from .mechanics import ActuatorGeometry
 from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec, Protocol, measure_amado
 # unused here, but perfbench's tracing tests look run_mode_trace up in this module
@@ -74,24 +74,17 @@ class CalibrationProblem:
     steady_window: float = STEADY_WINDOW     # s
 
     def __post_init__(self):
-        if not self.free:
-            raise ParameterError("at least one free parameter is required")
-        for name in self.free:
-            if name not in FREE_PARAMETERS:
-                raise ParameterError(
-                    f"unknown free parameter {name!r}; choose from {sorted(FREE_PARAMETERS)}")
-        if not self.targets:
-            raise ParameterError("at least one target is required")
-        for tgt in self.targets:
-            if len(tgt) != 3 or not (tgt[0] > 0 and 0 <= tgt[1] <= 1 and tgt[2] > 0):
-                raise ParameterError(
-                    f"targets must be (f > 0, 0 <= dc <= 1, amado_mm > 0), got {tgt}")
-        if self.budget < 1:
-            raise ParameterError(f"budget must be >= 1, got {self.budget}")
+        require("free", self.free,
+                lambda names: names and all(n in FREE_PARAMETERS for n in names),
+                f"a non-empty tuple of names from {sorted(FREE_PARAMETERS)}")
+        require("targets", self.targets,
+                lambda ts: ts and all(len(t) == 3 and t[0] > 0 and 0 <= t[1] <= 1 and t[2] > 0
+                                      for t in ts),
+                "a non-empty tuple of (f > 0, 0 <= dc <= 1, amado_mm > 0)")
+        require("budget", self.budget, lambda v: v >= 1, ">= 1")
         Protocol(run_length=self.run_length, steady_window=self.steady_window)
-        for name, (lo, hi) in self.bounds.items():
-            if hi <= lo:
-                raise ParameterError(f"bounds for {name!r} must satisfy lo < hi")
+        require("bounds", self.bounds, lambda b: all(lo < hi for lo, hi in b.values()),
+                "a mapping of name -> (lo, hi) with lo < hi")
 
     def bound(self, name):
         return self.bounds.get(name, DEFAULT_BOUNDS[name])

@@ -16,7 +16,7 @@ import yaml
 
 from .calibration import FREE_PARAMETERS, CalibrationProblem
 from .drive import CircuitParams, PwmConfig
-from .errors import ConfigError, ParameterError, WindowError
+from .errors import ConfigError, ParameterError, WindowError, require
 from .mechanics import ActuatorGeometry
 from .metrology import RUN_LENGTH, STEADY_WINDOW, FirSpec, Protocol
 from .sma import MAX_STEP, Environment, WireProperties
@@ -49,6 +49,19 @@ class ScenarioConfig:
     out_dir: str = "out"
     warnings: tuple = field(default_factory=tuple)
     mapping: dict = field(default_factory=dict, compare=False, repr=False)  # the file, validated
+
+    def __post_init__(self):
+        require("duration", self.duration, lambda v: v > 0, "> 0 s")
+        self.protocol   # checks run_length and steady_window
+        require("sweep_frequencies", self.sweep_frequencies,
+                lambda fs: all(f > 0 for f in fs), "all > 0")
+        require("sweep_duty_cycles", self.sweep_duty_cycles,
+                lambda dcs: all(0 <= dc <= 1 for dc in dcs), "all in [0, 1]")
+        require("swim_convection_multiplier", self.swim_convection_multiplier,
+                lambda v: v >= 1.0, ">= 1")
+        require("swim_drive_frequency", self.swim_drive_frequency, lambda v: v > 0, "> 0")
+        require("swim_scan_frequencies", self.swim_scan_frequencies,
+                lambda fs: all(f >= 0 for f in fs), "all >= 0")
 
     @property
     def protocol(self) -> Protocol:
@@ -159,7 +172,11 @@ _KEYS = {
 
 
 def _is_number(value):
-    return isinstance(value, _NUMBER) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite int or float; an int beyond float range is not one."""
+    try:
+        return isinstance(value, _NUMBER) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _numbers(path, value, expected, length=None):
@@ -175,7 +192,7 @@ def _check_type(path, tag, value):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         return float(value)
     if tag == "integer":
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not (isinstance(value, int) and _is_number(value)):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
     if tag == "string":
@@ -235,18 +252,12 @@ def parse_config(text: str) -> ScenarioConfig:
             fields.setdefault(owner, {})[name] = value
 
     def build(section, owner, **derived):
-        given = fields.get(owner, {})
         try:
-            return owner(**given, **derived)
+            return owner(**fields.get(owner, {}), **derived)
         except ParameterError as exc:
-            # an error that opens with the name of a field set in the file is
-            # reported under that field's key, any other under the section
-            name = str(exc).split(" ", 1)[0]
-            path = next((f"{section}.{key}" for key, (_, cls, field_name, _)
-                         in _KEYS[section].items()
-                         if cls is owner and field_name == name and name in given),
-                        section)
-            raise ConfigError(f"{path}: {exc}") from exc
+            # reported under the key that sets the field at fault, else under the section
+            key = _key_of(owner, exc.field)
+            raise ConfigError(f"{'.'.join(key) if key else section}: {exc}") from exc
 
     pwm = build("drive", PwmConfig)
     if 1.0 / pwm.sample_rate > MAX_STEP:
@@ -267,26 +278,16 @@ def parse_config(text: str) -> ScenarioConfig:
             f"drive.duty_cycle_pct = {pwm.duty_cycle * 100.0:g} exceeds 10% in dry air; "
             "the physical actuator can get stuck in one actuation state")
 
-    cfg = ScenarioConfig(pwm=pwm, circuit=circuit, props=props, env=env, geom=geom,
-                         fir=fir, swimmer=swimmer, calibration=calibration,
-                         warnings=tuple(warnings), mapping=raw, **fields.get(ScenarioConfig, {}))
-    if cfg.duration <= 0:
-        raise ConfigError(f"drive.duration_s: must be > 0, got {cfg.duration}")
-    try:
-        protocol = cfg.protocol
-    except ParameterError as exc:
-        key = "run_s" if str(exc).startswith("run_length") else "steady_window_s"
-        raise ConfigError(f"metrology.{key}: {exc}") from exc
-    if not all(f > 0 for f in cfg.sweep_frequencies):
-        raise ConfigError("metrology.frequencies_hz: entries must be > 0")
-    if not all(0 <= dc <= 1 for dc in cfg.sweep_duty_cycles):
-        raise ConfigError("metrology.duty_cycles_pct: entries must be in [0, 100]")
-    if cfg.swim_convection_multiplier < 1.0:
-        raise ConfigError("swimmer.water_convection_multiplier: must be >= 1")
-    if cfg.swim_drive_frequency <= 0:
-        raise ConfigError("swimmer.drive_frequency_hz: must be > 0")
-    if min(cfg.swim_scan_frequencies) < 0:
-        raise ConfigError("swimmer.scan_frequencies_hz: entries must be >= 0")
+    cfg = build("metrology", ScenarioConfig, pwm=pwm, circuit=circuit, props=props, env=env,
+                geom=geom, fir=fir, swimmer=swimmer, calibration=calibration,
+                warnings=tuple(warnings), mapping=raw)
+    # the FIR kernel must be shorter than every record it filters: the
+    # simulate trace and each sweep, swim and calibration cell
+    samples = round(min(cfg.duration, cfg.run_length, calibration.run_length) * pwm.sample_rate)
+    if not fir.order + 1 < samples:
+        raise ConfigError(f"metrology.fir_order: order must be < {samples - 1}, a kernel shorter "
+                          f"than the shortest record of {samples} samples, got {fir.order}")
+    protocol = cfg.protocol
     # every cell a command will measure, under the protocol it is measured with
     fit = Protocol(pwm, fir, calibration.run_length, calibration.steady_window)
     cells = [("metrology", protocol, f, dc)
@@ -302,11 +303,16 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def _key_of(owner, name):
+    """(section, key) of the key that sets field name of class owner; None if none does."""
+    return next(((section, key) for section, keys in _KEYS.items()
+                 for key, (_, cls, field_name, _) in keys.items()
+                 if cls is owner and field_name == name), None)
+
+
 def free_parameter_keys() -> dict:
     """calibration.FREE_PARAMETERS name -> (section, key) of the key that sets it."""
-    return {name: next((section, key) for section, keys in _KEYS.items()
-                       for key, (_, cls, field_name, _) in keys.items()
-                       if cls is ScenarioConfig.__annotations__[owner] and field_name == attr)
+    return {name: _key_of(ScenarioConfig.__annotations__[owner], attr)
             for name, (owner, attr) in FREE_PARAMETERS.items()}
 
 

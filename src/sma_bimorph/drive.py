@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, WindowError
+from .errors import ParameterError, WindowError, require
 
 MODES = ("bimorph", "unimorph-up", "unimorph-down")
 
@@ -37,22 +37,17 @@ class PwmConfig:
     sample_rate: float = 2000.0     # Hz
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise ParameterError(f"frequency must be > 0, got {self.frequency}")
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise ParameterError(f"duty_cycle must be in [0, 1], got {self.duty_cycle}")
-        if self.sample_rate < 10.0 * self.frequency:
-            raise ParameterError(
-                f"sample_rate {self.sample_rate} Hz must be >= 10x frequency {self.frequency} Hz")
-        if not 0.0 <= self.phase_shift < 1.0:
-            raise ParameterError(f"phase_shift must be in [0, 1), got {self.phase_shift}")
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        require("frequency", self.frequency, lambda v: v > 0, "> 0")
+        require("duty_cycle", self.duty_cycle, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+        require("sample_rate", self.sample_rate, lambda v: v >= 10.0 * self.frequency,
+                f">= 10x frequency = {10.0 * self.frequency} Hz")
+        require("phase_shift", self.phase_shift, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+        require("mode", self.mode, MODES.__contains__, f"one of {MODES}")
         # the on-windows [0, DC) and [ps, ps + DC) of a period must not meet on the circle
         if self.mode == "bimorph" and 0.0 < self.duty_cycle and (
                 self.duty_cycle > self.phase_shift or self.phase_shift + self.duty_cycle > 1.0):
             raise ParameterError(f"duty_cycle {self.duty_cycle} overlaps the other channel's "
-                                 f"on-window at phase_shift {self.phase_shift}")
+                                 f"on-window at phase_shift {self.phase_shift}", "duty_cycle")
 
     @property
     def period(self):
@@ -68,12 +63,11 @@ class CircuitParams:
     i_on: float = 0.250     # A, constant current while a channel is on
 
     def __post_init__(self):
-        if self.r_a <= 0:
-            raise ParameterError(f"r_a must be > 0, got {self.r_a}")
-        if not 0.0 < self.i_on <= self.i_limit:
-            raise ParameterError(
-                f"i_on must satisfy 0 < i_on <= i_limit ({self.i_limit} A), got {self.i_on}; "
-                "higher currents thermally damage the tether wires")
+        require("r_a", self.r_a, lambda v: v > 0, "> 0")
+        require("i_limit", self.i_limit, lambda v: v > 0, "> 0")
+        # higher currents thermally damage the tether wires
+        require("i_on", self.i_on, lambda v: 0.0 < v <= self.i_limit,
+                f"in (0, i_limit = {self.i_limit}] A")
 
     @property
     def on_voltage(self):

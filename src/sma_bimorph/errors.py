@@ -6,7 +6,19 @@ class SimulationError(Exception):
 
 
 class ParameterError(SimulationError, ValueError):
-    """A configuration value violates a declared invariant."""
+    """A configuration value violates a declared invariant; field names the
+    dataclass field at fault, None when no single field is."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+def require(field, value, test, requirement):
+    """Raise ParameterError("<field> must be <requirement>, got <value>")
+    unless test(value); NaN fails every comparison, so no rule lets it pass."""
+    if not test(value):
+        raise ParameterError(f"{field} must be {requirement}, got {value}", field)
 
 
 class ConfigError(SimulationError):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import PwmConfig, CircuitParams, make_pwm_pair
-from .errors import ClearanceError, ParameterError
+from .errors import ClearanceError, ParameterError, require
 from .sma import (BRANCH_HEATING, Environment, WireProperties, WireState, _band,
                   _branch_trace, _final_wire, _phase_step, _require_finite, _sample_arrays,
                   _tension_from_kinematics, relaxed_state, temperature_trace)
@@ -62,10 +62,8 @@ class ActuatorGeometry:
     def __post_init__(self):
         for name in ("length", "r_m", "k_beam", "g_tip", "mount_offset", "beam_radius",
                      "anchor_standoff"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.alpha < math.pi / 2:
-            raise ParameterError(f"alpha must be in [0, pi/2), got {self.alpha}")
+            require(name, getattr(self, name), lambda v: v > 0, "> 0")
+        require("alpha", self.alpha, lambda v: 0.0 <= v < math.pi / 2, "in [0, pi/2)")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drive import CircuitParams, PwmConfig
-from .errors import ParameterError, SimulationError, WindowError
+from .errors import ParameterError, SimulationError, WindowError, require
 from .mechanics import ActuatorGeometry, run_mode_trace
 from .sma import Environment, WireProperties
 
@@ -39,11 +39,10 @@ class FirSpec:
     fs: float = PwmConfig.sample_rate  # Hz, the drive's default sampling
 
     def __post_init__(self):
-        if self.order <= 0 or self.order % 2 != 0:
-            raise ParameterError(f"order must be a positive even integer, got {self.order}")
-        if not 0.0 < self.cutoff < self.fs / 2.0:
-            raise ParameterError(
-                f"cutoff must satisfy 0 < cutoff < fs/2 = {self.fs / 2.0}, got {self.cutoff}")
+        require("order", self.order, lambda v: v > 0 and v % 2 == 0, "a positive even integer")
+        require("fs", self.fs, lambda v: v > 0, "> 0")
+        require("cutoff", self.cutoff, lambda v: 0.0 < v < self.fs / 2.0,
+                f"in (0, fs/2 = {self.fs / 2.0})")
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,9 @@ class Protocol:
     steady_window: float = STEADY_WINDOW
 
     def __post_init__(self):
-        if self.run_length <= 0:
-            raise ParameterError(f"run_length must be > 0 s, got {self.run_length}")
-        if not 0 < self.steady_window <= self.run_length:
-            raise ParameterError(f"steady_window must be in (0, run_length = "
-                                 f"{self.run_length}] s, got {self.steady_window}")
+        require("run_length", self.run_length, lambda v: v > 0, "> 0 s")
+        require("steady_window", self.steady_window, lambda v: 0 < v <= self.run_length,
+                f"in (0, run_length = {self.run_length}] s")
         if self.fir.fs != self.pwm.sample_rate:
             raise ParameterError(f"fir fs {self.fir.fs} Hz differs from the drive's "
                                  f"sample_rate {self.pwm.sample_rate} Hz")

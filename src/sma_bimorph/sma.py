@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, require
 
 # branch codes for the hysteresis state machine
 BRANCH_NONE = 0
@@ -80,20 +80,16 @@ class WireProperties:
     pre_strain: float = 4.0e-4         # elastic strain tied in at assembly
 
     def __post_init__(self):
+        for name in ("diameter", "active_length", "density", "specific_heat", "h",
+                     "m_f", "m_s", "a_s", "a_f", "c_m", "c_a", "e_a", "e_m", "resistivity"):
+            require(name, getattr(self, name), lambda v: v > 0, "> 0")
         if not (self.m_f < self.m_s <= self.a_s < self.a_f):
             raise ParameterError(
                 f"transformation temperatures must satisfy M_f < M_s <= A_s < A_f, "
                 f"got {self.m_f}, {self.m_s}, {self.a_s}, {self.a_f}")
-        if not 0.0 < self.eps_l <= 0.08:
-            raise ParameterError(f"eps_l must be in (0, 0.08], got {self.eps_l}")
-        for name in ("diameter", "active_length", "density", "specific_heat", "h",
-                     "c_m", "c_a", "e_a", "e_m", "resistivity"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.parallel_strands < 1:
-            raise ParameterError(f"parallel_strands must be >= 1, got {self.parallel_strands}")
-        if self.pre_strain < 0:
-            raise ParameterError(f"pre_strain must be >= 0, got {self.pre_strain}")
+        require("eps_l", self.eps_l, lambda v: 0.0 < v <= 0.08, "in (0, 0.08]")
+        require("parallel_strands", self.parallel_strands, lambda v: v >= 1, ">= 1")
+        require("pre_strain", self.pre_strain, lambda v: v >= 0, ">= 0")
 
     @property
     def strand_area(self):
@@ -137,11 +133,8 @@ class Environment:
     convection_multiplier: float = 1.0
 
     def __post_init__(self):
-        if self.t_amb <= 0:
-            raise ParameterError(f"t_amb must be > 0 K, got {self.t_amb}")
-        if self.convection_multiplier < 1.0:
-            raise ParameterError(
-                f"convection_multiplier must be >= 1, got {self.convection_multiplier}")
+        require("t_amb", self.t_amb, lambda v: v > 0, "> 0 K")
+        require("convection_multiplier", self.convection_multiplier, lambda v: v >= 1.0, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -163,8 +156,7 @@ class WireState:
 
     def __post_init__(self):
         for name in ("xi", "anchor_xi"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+            require(name, getattr(self, name), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def relaxed_state(env: Environment) -> WireState:

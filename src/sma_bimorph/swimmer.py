@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, require
 from .sma import MAX_STEP
 
 
@@ -49,12 +49,9 @@ class SwimmerParams:
         for name in ("body_length", "mass", "head_lateral_cda", "tail_lateral_cda",
                      "thrust_coeff", "longitudinal_cda", "rho", "nu",
                      "tail_gain", "tail_lever", "head_lever", "yaw_ref_speed"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.linear_drag < 0:
-            raise ParameterError(f"linear_drag must be >= 0, got {self.linear_drag}")
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise ParameterError(f"duty_cycle must be in [0, 1], got {self.duty_cycle}")
+            require(name, getattr(self, name), lambda v: v > 0, "> 0")
+        require("linear_drag", self.linear_drag, lambda v: v >= 0, ">= 0")
+        require("duty_cycle", self.duty_cycle, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
         if self.head_lateral_cda <= self.tail_lateral_cda:
             raise ParameterError(
                 "head lateral drag product must exceed the tail product "

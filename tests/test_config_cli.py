@@ -1,16 +1,31 @@
+import math
+import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sma_bimorph import AmadoResult, SweepTable, cli, parse_config
+from sma_bimorph import (ActuatorGeometry, AmadoResult, CalibrationProblem, CircuitParams,
+                         Environment, PwmConfig, SweepTable, SwimmerParams, WireProperties, cli,
+                         parse_config)
 from sma_bimorph.cli import run_scenario
 from sma_bimorph.config import _KEYS
 from sma_bimorph.csvio import write_csv
-from sma_bimorph.errors import ConfigError
+from sma_bimorph.errors import ConfigError, ParameterError
+
+# a child interpreter imports the package from where this one found it
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
+def bimorph(*args):
+    """Run the CLI in a new interpreter, capturing its output as text."""
+    return subprocess.run([sys.executable, "-m", "sma_bimorph.cli", *args],
+                          capture_output=True, text=True, env=CLI_ENV)
 
 
 class TestParseConfig:
@@ -66,14 +81,15 @@ class TestParseConfig:
             parse_config("drive: [unclosed\n")
 
     def test_non_finite_numbers_name_their_key(self):
-        # NaN passes every `value <= 0` field check; .inf overflowed int()
+        # NaN passes every `value <= 0` field check; .inf overflowed int(), and
+        # an integer beyond float range overflowed float()
         probes = [(f"{section}.{key}",
                    f"{section}:\n  {key}: {f'[{value}]' if tag == 'number_list' else value}\n")
                   for section, keys in _KEYS.items()
                   for key, (tag, *_) in keys.items()
                   if tag in ("number", "integer", "number_list")
-                  for value in (".nan", ".inf", "-.inf")]
-        assert len(probes) == 183
+                  for value in (".nan", ".inf", "-.inf", "1" + "0" * 400)]
+        assert len(probes) == 244
         missed = []
         for path, text in probes:
             try:
@@ -183,9 +199,7 @@ class TestRunScenario:
 
 class TestCliProcess:
     def test_power_command_exit_zero(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "power", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+        result = bimorph("power", "--out", str(tmp_path))
         assert result.returncode == 0
         assert "wrote" in result.stdout
         assert (tmp_path / "default_power.csv").exists()
@@ -193,27 +207,18 @@ class TestCliProcess:
     def test_bad_config_exit_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("drive:\n  frequency_hzz: 2\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "power",
-             "--config", str(bad), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+        result = bimorph("power", "--config", str(bad), "--out", str(tmp_path))
         assert result.returncode == 2
         assert "frequency_hzz" in result.stderr
 
     def test_missing_config_file_exit_two(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "power",
-             "--config", str(tmp_path / "nope.yaml")],
-            capture_output=True, text=True)
+        result = bimorph("power", "--config", str(tmp_path / "nope.yaml"))
         assert result.returncode == 2
 
     def test_calibration_window_longer_than_run_exit_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("calibration:\n  run_s: 4\n  steady_window_s: 5\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "calibrate",
-             "--config", str(bad), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+        result = bimorph("calibrate", "--config", str(bad), "--out", str(tmp_path))
         assert result.returncode == 2
         assert "calibration" in result.stderr
 
@@ -230,30 +235,29 @@ class TestCliProcess:
     def test_non_positive_run_length_exit_two(self, tmp_path, command, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", command,
-             "--config", str(bad), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+        result = bimorph(command, "--config", str(bad), "--out", str(tmp_path))
         assert result.returncode == 2
         assert key in result.stderr
 
     @pytest.mark.parametrize("text, message", [
         ("calibration:\n  run_s: 0\n", "calibration.run_s: run_length must be > 0 s"),
         ("sma:\n  diameter_m: 0\n", "sma.diameter_m: diameter must be > 0"),
-        ("drive:\n  sample_rate_hz: 5\n", "drive.sample_rate_hz: sample_rate 5.0 Hz"),
+        ("drive:\n  sample_rate_hz: 5\n",
+         "drive.sample_rate_hz: sample_rate must be >= 10x frequency = 10.0 Hz, got 5.0"),
         ("geometry:\n  wire_angle_deg: 90\n", "geometry.wire_angle_deg: alpha must be"),
         ("metrology:\n  fir_order: 3\n", "metrology.fir_order: order must be"),
         ("drive:\n  sample_rate_hz: 500\n  duration_s: 2\n",
          "drive.sample_rate_hz: must be >= 1000 Hz"),
         ("drive:\n  sample_rate_hz: 150\n", "drive.sample_rate_hz: must be >= 1000 Hz"),
-        ("swimmer:\n  drive_frequency_hz: -1\n", "swimmer.drive_frequency_hz: must be > 0"),
+        ("swimmer:\n  drive_frequency_hz: -1\n",
+         "swimmer.drive_frequency_hz: swim_drive_frequency must be > 0"),
         ("swimmer:\n  scan_frequencies_hz: [1, -2]\n",
-         "swimmer.scan_frequencies_hz: entries must be >= 0"),
+         "swimmer.scan_frequencies_hz: swim_scan_frequencies must be all >= 0"),
         ("calibration:\n  targets: [[0, 10, 7.08]]\n", "calibration.targets: targets must be"),
         ("metrology:\n  frequencies_hz: [-1, 5]\n",
-         "metrology.frequencies_hz: entries must be > 0"),
+         "metrology.frequencies_hz: sweep_frequencies must be all > 0"),
         ("metrology:\n  duty_cycles_pct: [150]\n",
-         "metrology.duty_cycles_pct: entries must be in [0, 100]"),
+         "metrology.duty_cycles_pct: sweep_duty_cycles must be all in [0, 1]"),
         ("metrology:\n  frequencies_hz: [5]\n  duty_cycles_pct: [0, 100]\n",
          "metrology: cell (f=5 Hz, DC=100%) cannot be measured: duty_cycle 1.0 overlaps"),
         ("metrology:\n  frequencies_hz: [5]\n  steady_window_s: 0.5\n",
@@ -274,37 +278,35 @@ class TestCliProcess:
         ("swimmer:\n  scan_frequencies_hz: [2, 1, 2.0]\n",
          "swimmer.scan_frequencies_hz: entries must be distinct"),
         ("drive:\n  duration_s: .inf\n", "drive.duration_s: expected a number, got inf"),
+        ("metrology:\n  fir_order: 8000\n  run_s: 4\n  steady_window_s: 3\n"
+         "  frequencies_hz: [5]\n  duty_cycles_pct: [10]\n",
+         "metrology.fir_order: order must be < 7999"),
+        ("drive:\n  duration_s: 2\nmetrology:\n  fir_order: 4000\n",
+         "metrology.fir_order: order must be < 3999"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
             "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
             "calibration-target-zero-frequency", "sweep-frequency-negative",
             "sweep-duty-cycle-above-100", "sweep-cell-overlap", "sweep-cell-short-window",
             "calibration-cell-one-period", "drive-overlap", "swim-cell-one-period",
             "drive-on-height", "geometry-mass", "geometry-volume", "sweep-frequency-duplicate",
-            "sweep-duty-cycle-duplicate", "swim-scan-duplicate", "drive-duration-inf"])
+            "sweep-duty-cycle-duplicate", "swim-scan-duplicate", "drive-duration-inf",
+            "fir-kernel-longer-than-cell", "fir-kernel-longer-than-simulate"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "power",
-             "--config", str(bad), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+        result = bimorph("power", "--config", str(bad), "--out", str(tmp_path))
         assert result.returncode == 2
         assert message in result.stderr
 
     def test_threads_flag_is_gone(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "sweep", "--help"],
-            capture_output=True, text=True)
+        result = bimorph("sweep", "--help")
         assert result.returncode == 0
         assert "--threads" not in result.stdout
 
     def test_warning_emitted_on_stderr(self, tmp_path):
         risky = tmp_path / "risky.yaml"
         risky.write_text("drive:\n  duty_cycle_pct: 11\n  duration_s: 2\n")
-        result = subprocess.run(
-            [sys.executable, "-m", "sma_bimorph.cli", "power",
-             "--config", str(risky), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+        result = bimorph("power", "--config", str(risky), "--out", str(tmp_path))
         assert result.returncode == 0
         assert "stuck" in result.stderr
 
@@ -384,3 +386,23 @@ def test_sweep_columns_place_failed_cells_as_nan_rows():
     assert dc == [5.0, 10.0, 5.0]
     assert amado[0] == 4.0 and amado[2] == 1.0
     assert np.isnan(amado[1]) and np.isnan(std[1]) and np.isnan(normalized[1])
+
+
+
+# every float field of the parameter dataclasses, and each end of a calibration bound
+NAN_FIELDS = [pytest.param(cls, f.name, {f.name: math.nan}, id=f"{cls.__name__}.{f.name}")
+              for cls in (PwmConfig, CircuitParams, WireProperties, Environment,
+                          ActuatorGeometry, SwimmerParams)
+              for f in fields(cls) if isinstance(f.default, float)]
+NAN_FIELDS += [pytest.param(CalibrationProblem, "bounds", {"bounds": {"h": pair}},
+                            id=f"CalibrationProblem.bounds-{end}")
+               for end, pair in (("lo", (math.nan, 170.0)), ("hi", (140.0, math.nan)))]
+
+
+@pytest.mark.parametrize("cls, name, kwargs", NAN_FIELDS)
+def test_nan_field_raises_naming_the_field(cls, name, kwargs):
+    # the API path: no config file sits between the caller and the dataclass
+    assert len(NAN_FIELDS) == 49
+    with pytest.raises(ParameterError) as info:
+        cls(**kwargs)
+    assert info.value.field == name
