@@ -19,13 +19,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import swimmer as swim_mod
 from .calibration import calibrate
 from .config import ScenarioConfig, fitted_config_text, parse_config
 from .csvio import (POWER_SCHEMA, SPEED_SCAN_SCHEMA, SWEEP_SCHEMA, TRACE_SCHEMA,
                     TRAJECTORY_SCHEMA, write_csv)
 from .drive import average_power, make_pwm_pair
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, WindowError
 from .mechanics import run_mode_trace
 from .metrology import (SweepTable, design_fir, filter_zero_phase, measure_amado,
                         run_sweep)
@@ -49,18 +51,23 @@ def cmd_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 
 def sweep_columns(table: SweepTable) -> list:
-    """SWEEP_SCHEMA columns of a sweep table in (f, DC) order, DC in percent;
-    a failed cell is a row of NaN AMADO, std and normalized values."""
+    """SWEEP_SCHEMA columns of a sweep table as float64 arrays in (f, DC)
+    order, DC in percent; a failed cell is a row of NaN AMADO, std and
+    normalized values."""
     rows = [(r.frequency, r.duty_cycle * 100.0, r.amado, r.std, r.normalized)
             for r in table.rows]
     rows += [(f, dc * 100.0, math.nan, math.nan, math.nan) for f, dc in table.errors]
     rows.sort(key=lambda row: (row[0], row[1]))
-    return [[row[k] for row in rows] for k in range(len(SWEEP_SCHEMA.columns))]
+    return [np.array([row[k] for row in rows], dtype=np.float64)
+            for k in range(len(SWEEP_SCHEMA.columns))]
 
 
 def cmd_power(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = make_pwm_pair(cfg.pwm, cfg.circuit, cfg.duration)
-    power = average_power(trace, cfg.circuit)
+    try:
+        power = average_power(trace, cfg.circuit)
+    except WindowError as exc:
+        raise ConfigError(f"drive.duration_s: {exc}") from exc
     print(f"peak p_a = {power.p_a.max():.6f} W, average p_a = {power.p_bar:.6f} W")
     columns = (trace.t, trace.v_t, trace.v_b, trace.i_t, trace.i_b, power.p_a)
     return [write_csv(out_dir / f"{cfg.scenario}_power.csv", POWER_SCHEMA, columns)]
@@ -101,10 +108,10 @@ def cmd_swim(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     # scan at the fixed trajectory amplitude: the measured best operating
     # band (3 to 4 Hz) is compared at one tail stroke, and the quadratic
     # thrust law then gives speed rising with frequency
-    frequencies = list(cfg.swim_scan_frequencies)
+    frequencies = cfg.swim_scan_frequencies
     speeds = [swim_mod.steady_speed(f, amp, cfg.swimmer) * 1e3 for f in frequencies]
-    paths.append(write_csv(out_dir / f"{cfg.scenario}_speed_scan.csv",
-                           SPEED_SCAN_SCHEMA, (frequencies, speeds)))
+    paths.append(write_csv(out_dir / f"{cfg.scenario}_speed_scan.csv", SPEED_SCAN_SCHEMA,
+                           (np.array(frequencies), np.array(speeds))))
     return paths
 
 

@@ -51,7 +51,8 @@ class ScenarioConfig:
     mapping: dict = field(default_factory=dict, compare=False, repr=False)  # the file, validated
 
     def __post_init__(self):
-        require("duration", self.duration, lambda v: v > 0, "> 0 s")
+        require("duration", self.duration, lambda v: v >= 2.0 * self.pwm.period,
+                f">= two periods of {self.pwm.frequency} Hz = {2.0 * self.pwm.period} s")
         self.protocol   # checks run_length and steady_window
         require("sweep_frequencies", self.sweep_frequencies,
                 lambda fs: all(f > 0 for f in fs), "all > 0")
@@ -226,7 +227,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate YAML config text; empty text gives all defaults."""
     try:
         raw = yaml.safe_load(text) if text.strip() else {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:   # ValueError: an int over 4300 digits
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}

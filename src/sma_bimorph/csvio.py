@@ -5,7 +5,6 @@ fixed column order, '\n' newlines, UTF-8, shortest round-trip decimal
 formatting (repr) for floats, no trailing whitespace.
 """
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,31 +33,18 @@ TRAJECTORY_SCHEMA = CsvSchema("trajectory", ("t_s", "x_mm", "y_mm", "psi_deg", "
 SPEED_SCAN_SCHEMA = CsvSchema("speed_scan", ("f_hz", "v_mm_s"))
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        raise ParameterError("boolean values have no CSV representation here")
-    if isinstance(value, (int,)):
-        return str(value)
-    return repr(float(value))
-
-
 def _checked_column(schema: CsvSchema, name: str, column):
-    """column as a 1-D float64 ndarray or as a list of real numbers."""
+    """column itself if it is a 1-D float64 ndarray; ParameterError otherwise."""
     if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64:
         return column
-    values = list(column)
-    for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ParameterError(
-                f"column {name!r} of schema {schema.name!r} holds {value!r} at row {i}; "
-                f"only real numbers (not booleans) have a CSV representation here")
-    return values
+    got = (f"a {column.ndim}-D {column.dtype} array" if isinstance(column, np.ndarray)
+           else f"a {type(column).__name__}")
+    raise ParameterError(
+        f"column {name!r} of schema {schema.name!r} must be a 1-D float64 array, got {got}")
 
 
 def _format_chunk(chunk) -> list:
     """Text of each value in one chunk of a checked column."""
-    if not isinstance(chunk, np.ndarray):
-        return list(map(format_value, chunk))
     # each distinct bit pattern is formatted once, so -0.0 and 0.0 (and
     # every NaN payload) keep their own text; only the first value of each
     # run of one pattern is sorted
@@ -72,11 +58,10 @@ def _format_chunk(chunk) -> list:
 
 
 def write_csv(path, schema: CsvSchema, columns) -> Path:
-    """Write one sequence per schema column under the fixed header.
+    """Write one 1-D float64 array per schema column under the fixed header.
 
-    Float64 ndarray columns are formatted in bulk; any other column goes
-    through format_value value by value.  Every column is checked before
-    the file is opened, so a rejected call leaves no file behind.
+    Every column is checked before the file is opened, so a rejected call
+    leaves no file behind.
     """
     path = Path(path)
     columns = list(columns)

@@ -67,9 +67,23 @@ class Protocol:
         """The bimorph drive of the (f, DC) cell; raises ParameterError or
         WindowError if the cell cannot be measured."""
         cell = replace(self.pwm, frequency=frequency, duty_cycle=duty_cycle, mode="bimorph")
-        _steady_periods(frequency, cell.sample_rate, self.run_length, self.steady_window,
-                        int(round(self.run_length * cell.sample_rate)))
+        self.period_edges(frequency, int(round(self.run_length * cell.sample_rate)))
         return cell
+
+    def period_edges(self, frequency, size) -> np.ndarray:
+        """Start sample of each whole period k/f of the steady window that
+        starts inside a record of size samples, then the end of the last
+        one; WindowError below 3 periods."""
+        fs = self.pwm.sample_rate
+        first = math.ceil((self.run_length - self.steady_window) * frequency - 1e-9)
+        stop = math.floor(self.run_length * frequency + 1e-9)
+        while stop > first and math.ceil((stop - 1) * fs / frequency) >= size:
+            stop -= 1
+        if stop - first < 3:
+            raise WindowError(f"steady window holds {max(stop - first, 0)} whole periods "
+                              f"of {frequency} Hz; need >= 3")
+        # in bulk, since every cell's edges are built when the config is read
+        return np.minimum(np.ceil(np.arange(first, stop + 1) * fs / frequency), size).astype(int)
 
 
 @dataclass(frozen=True)
@@ -123,19 +137,6 @@ def filter_zero_phase(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def _steady_periods(frequency, fs, run_length, steady_window, size):
-    """(first, stop): the whole periods k in [first, stop) of the steady window
-    that start inside a record of size samples; WindowError below 3."""
-    first = math.ceil((run_length - steady_window) * frequency - 1e-9)
-    stop = math.floor(run_length * frequency + 1e-9)
-    while stop > first and math.ceil((stop - 1) * fs / frequency) >= size:
-        stop -= 1
-    if stop - first < 3:
-        raise WindowError(f"steady window holds {max(stop - first, 0)} whole periods "
-                          f"of {frequency} Hz; need >= 3")
-    return first, stop
-
-
 def compute_amado(trace, frequency: float, run_length: float, steady_window: float,
                   fir: FirSpec = FirSpec()) -> AmadoResult:
     """Filter a displacement trace and average the per-period peak-to-peak.
@@ -145,14 +146,13 @@ def compute_amado(trace, frequency: float, run_length: float, steady_window: flo
     """
     fs = fir.fs
     trace = np.asarray(trace, dtype=np.float64)
-    Protocol(run_length=run_length, steady_window=steady_window)
+    protocol = Protocol(PwmConfig(sample_rate=fs), fir, run_length, steady_window)
     expected = int(round(run_length * fs))
     if abs(trace.size - expected) > 1:
         raise ParameterError(
             f"trace has {trace.size} samples, expected {expected} for {run_length} s at {fs} Hz")
-    first, stop = _steady_periods(frequency, fs, run_length, steady_window, trace.size)
+    edges = protocol.period_edges(frequency, trace.size)
     filtered = filter_zero_phase(design_fir(fir), trace)
-    edges = [min(math.ceil(k * fs / frequency), trace.size) for k in range(first, stop + 1)]
     mado = np.array([filtered[i0:i1].max() - filtered[i0:i1].min()
                      for i0, i1 in zip(edges, edges[1:])])
     mado_mm = mado * 1e3

@@ -77,8 +77,10 @@ class TestParseConfig:
         assert cfg.warnings == ()
 
     def test_not_yaml_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("drive: [unclosed\n")
+        # an integer over 4300 digits makes the YAML loader raise ValueError
+        for text in ("drive: [unclosed\n", "drive:\n  duration_s: 1" + "0" * 5000 + "\n"):
+            with pytest.raises(ConfigError, match="not valid YAML"):
+                parse_config(text)
 
     def test_non_finite_numbers_name_their_key(self):
         # NaN passes every `value <= 0` field check; .inf overflowed int(), and
@@ -283,6 +285,10 @@ class TestCliProcess:
          "metrology.fir_order: order must be < 7999"),
         ("drive:\n  duration_s: 2\nmetrology:\n  fir_order: 4000\n",
          "metrology.fir_order: order must be < 3999"),
+        ("drive:\n  duration_s: 1\n",
+         "drive.duration_s: duration must be >= two periods of 1.0 Hz = 2.0 s, got 1.0"),
+        ("drive:\n  duration_s: 2.5\n",
+         "drive.duration_s: trace spans 2.500000 periods; an integer number is required"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
             "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
             "calibration-target-zero-frequency", "sweep-frequency-negative",
@@ -290,7 +296,8 @@ class TestCliProcess:
             "calibration-cell-one-period", "drive-overlap", "swim-cell-one-period",
             "drive-on-height", "geometry-mass", "geometry-volume", "sweep-frequency-duplicate",
             "sweep-duty-cycle-duplicate", "swim-scan-duplicate", "drive-duration-inf",
-            "fir-kernel-longer-than-cell", "fir-kernel-longer-than-simulate"])
+            "fir-kernel-longer-than-cell", "fir-kernel-longer-than-simulate",
+            "drive-duration-one-period", "power-fractional-periods"])
     def test_field_check_names_the_key_written(self, tmp_path, text, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
@@ -381,11 +388,14 @@ def test_sweep_columns_place_failed_cells_as_nan_rows():
                  for f, dc, a in ((1.0, 0.05, 4.0), (5.0, 0.05, 1.0)))
     table = SweepTable(rows=rows, av_max={1.0: 4.0, 5.0: 1.0},
                        errors={(1.0, 0.1): "NumericError: boom"})
-    f, dc, amado, std, normalized = cli.sweep_columns(table)
-    assert f == [1.0, 1.0, 5.0]
-    assert dc == [5.0, 10.0, 5.0]
-    assert amado[0] == 4.0 and amado[2] == 1.0
-    assert np.isnan(amado[1]) and np.isnan(std[1]) and np.isnan(normalized[1])
+    columns = cli.sweep_columns(table)
+    assert all(c.dtype == np.float64 and c.ndim == 1 for c in columns)
+    f, dc, amado, std, normalized = columns
+    np.testing.assert_array_equal(f, [1.0, 1.0, 5.0])
+    np.testing.assert_array_equal(dc, [5.0, 10.0, 5.0])
+    np.testing.assert_array_equal(amado, [4.0, np.nan, 1.0])
+    np.testing.assert_array_equal(std, [0.0, np.nan, 0.0])
+    np.testing.assert_array_equal(normalized, [1.0, np.nan, 1.0])
 
 
 

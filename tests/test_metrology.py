@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sma_bimorph import (FirSpec, Protocol, PwmConfig, compute_amado, design_fir,
                          filter_zero_phase, measure_amado, run_sweep)
+from sma_bimorph.drive import CircuitParams, make_pwm_pair
 from sma_bimorph.errors import ParameterError, WindowError
 
 
@@ -189,6 +190,17 @@ class TestProtocol:
         protocol = Protocol(run_length=run_length, steady_window=steady_window)
         with pytest.raises(WindowError, match=f"holds {periods} whole periods"):
             protocol.cell(frequency, 0.1)
+
+    @pytest.mark.parametrize("fs", [2000.0, 3000.0, 4000.0])
+    def test_periods_start_on_channel_a_rising_edges(self, fs):
+        protocol = Protocol(PwmConfig(sample_rate=fs), FirSpec(fs=fs), 6.0, 4.0)
+        for frequency in (1.0, 2.5, 3.0, 7.0, 13.0, 20.0):
+            drive = make_pwm_pair(protocol.cell(frequency, 0.1), CircuitParams(), 6.0)
+            edges = protocol.period_edges(frequency, drive.i_t.size)
+            assert len(edges) - 1 == 4.0 * frequency   # every whole period of the 4 s window
+            assert np.all(np.diff(edges) > 0) and edges[-1] == drive.i_t.size
+            for e in edges[:-1]:
+                assert drive.i_t[e] > 0 and (e == 0 or drive.i_t[e - 1] == 0), (frequency, e)
 
 
 class TestRunSweep:
