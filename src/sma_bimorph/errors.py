@@ -32,9 +32,9 @@ class WindowError(SimulationError):
 class ClearanceError(SimulationError):
     """Wire/beam clearance is non-positive somewhere in the operating envelope."""
 
-    def __init__(self, clearance, message=None):
+    def __init__(self, clearance):
         self.clearance = clearance
-        super().__init__(message or f"design violation: clearance {clearance:.3e} m <= 0")
+        super().__init__(f"design violation: clearance {clearance:.3e} m <= 0")
 
 
 class NumericError(SimulationError):

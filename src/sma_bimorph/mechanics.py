@@ -23,11 +23,11 @@ Clearance: the wires are installed at a small angle alpha to the device
 axis, the wire line crossing the axis a mount_offset behind the base
 anchor.  With alpha = 0 the wire chords lie in the bending plane and the
 deflected beam sweeps through them; the angled layout carries the chords
-past the beam laterally.  clearance_check measures the minimum distance
-between the slack-side straight wire chord and the bent beam (a
-constant-curvature arc, body envelope radius beam_radius) over a rotation
-envelope and raises if the wires would touch the beam, the failure mode
-that rules out parallel wire placement.
+past the beam laterally.  clearance_check projects 1024 stations of the
+bent beam (the constant-curvature arc z = delta (x/L)^2, body envelope
+radius beam_radius) onto each straight wire chord, clipped to its
+anchors, over a rotation envelope, and raises if the wires would touch
+the beam, the failure mode that rules out parallel wire placement.
 
 At 10 mg device mass and drive below ~20 Hz, inertial torques are far
 below the elastic ones, so the beam is always in quasi-static balance.
@@ -150,59 +150,52 @@ def relaxed_actuator(env: Environment) -> ActuatorState:
 # ---------------------------------------------------------------------------
 # clearance geometry
 
-def _chord_to_beam_distance(delta, sign, geom: ActuatorGeometry, n_beam=1024):
-    """Min distance from the slack-side wire chord to the beam centerline.
-
-    sign = +1 checks the top-side chord, -1 the bottom-side one. The beam
-    bends as the constant-curvature arc z = delta * (x/L)^2; the chord is a
-    straight segment between anchors riding the beam ends, offset laterally
-    by the angled mounting and vertically by the anchor standoff.
-    """
-    length = geom.length
-    tan_a = math.tan(geom.alpha)
-    x = np.linspace(0.0, length, n_beam)
-    beam = np.column_stack((x, np.zeros_like(x), delta * (x / length) ** 2))
-
-    z_off = sign * geom.anchor_standoff
-    p0 = np.array([0.0, geom.mount_offset * tan_a, z_off])
-    p1 = np.array([length, (geom.mount_offset + length) * tan_a, delta + z_off])
-
-    seg = p1 - p0
-    seg_len2 = float(seg @ seg)
-    rel = beam - p0
-    s = np.clip(rel @ seg / seg_len2, 0.0, 1.0)
-    closest = p0 + s[:, None] * seg
-    d = np.linalg.norm(beam - closest, axis=1)
-    return float(d.min())
-
-
 def clearance_check(geom: ActuatorGeometry, theta_range) -> float:
     """Minimum wire-to-beam clearance over a rotation envelope, meters.
 
     theta_range is an iterable of beam rotations covering the operating
     envelope.  The slack-side wire is the one the beam deflects away from;
-    both sides are checked at every pose.  Raises ClearanceError if the
-    clearance is not positive anywhere in the envelope (the collision that
-    parallel wire mounting produces by construction).
+    both sides are checked at every pose, in one pass over (pose, side,
+    station) arrays of 16 KB per pose, so pass an envelope, not a trace.
+    Raises ClearanceError if the clearance is not positive anywhere in the
+    envelope (the collision that parallel wire mounting produces by
+    construction).
     """
     thetas = np.atleast_1d(np.asarray(theta_range, dtype=np.float64))
     if thetas.size == 0:
         raise ParameterError("theta_range must contain at least one rotation")
-    best = math.inf
-    for theta in thetas:
-        delta = geom.g_tip * float(theta)
-        for sign in (+1.0, -1.0):
-            dist = _chord_to_beam_distance(delta, sign, geom)
-            best = min(best, dist - geom.beam_radius)
+    length, tan_a = geom.length, math.tan(geom.alpha)
+    delta = geom.g_tip * thetas[:, None, None]                       # per pose
+    z_off = np.array([1.0, -1.0])[:, None] * geom.anchor_standoff    # per side
+    x = np.linspace(0.0, length, 1024)                               # per beam station
+
+    # each side's chord runs from its base anchor (0, y0, z_off) to its tip
+    # anchor (L, y0 + L tan(alpha), delta + z_off) on the beam ends
+    y0 = geom.mount_offset * tan_a
+    seg_x = length
+    seg_y = length * tan_a
+    seg_z = delta
+
+    # each beam station (x, 0, delta (x/L)^2) relative to the base anchor
+    rel_x = x
+    rel_y = -y0
+    rel_z = delta * (x / length) ** 2 - z_off
+
+    # the station's projection onto the chord, clipped to the anchors
+    s = (rel_x * seg_x + rel_y * seg_y + rel_z * seg_z) / (seg_x ** 2 + seg_y ** 2 + seg_z ** 2)
+    s = np.clip(s, 0.0, 1.0)
+    dist = np.sqrt((rel_x - s * seg_x) ** 2 + (rel_y - s * seg_y) ** 2
+                   + (rel_z - s * seg_z) ** 2)
+    best = float(dist.min()) - geom.beam_radius
     if best <= 0.0:
         raise ClearanceError(best)
     return best
 
 
-def tip_envelope(geom: ActuatorGeometry, tip_travel: float, n=81):
-    """Rotation samples spanning +/- tip_travel of tip displacement."""
+def tip_envelope(geom: ActuatorGeometry, tip_travel: float):
+    """81 rotation samples spanning +/- tip_travel of tip displacement."""
     theta_max = tip_travel / geom.g_tip
-    return np.linspace(-theta_max, theta_max, n)
+    return np.linspace(-theta_max, theta_max, 81)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +368,18 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
                    duration: float) -> DisplacementTrace:
     """PWM drive to tip-displacement trace, the simulated laser measurement.
 
-    With whole f and fs the drive repeats every fs / gcd(fs, f) samples,
-    and simulate_drive tiles the coupled state from its exact cycle at
-    those period boundaries, over the whole duration.
+    The drive repeats every P samples, P the numerator of the exact ratio
+    of the binary values fs / f in lowest terms (fs / gcd(fs, f) for whole
+    f and fs), and simulate_drive tiles the coupled state from its exact
+    cycle at those period boundaries, over the whole duration; a P longer
+    than the record, as that of 0.1 Hz, tiles nothing.
     """
     if duration < 2.0 * cfg.period:
         raise ParameterError(
             f"duration {duration} s must cover at least two periods of {cfg.frequency} Hz")
     drive = make_pwm_pair(cfg, params, duration)
-    fs, f = float(cfg.sample_rate), float(cfg.frequency)
-    period = int(fs) // math.gcd(int(fs), int(f)) if fs.is_integer() and f.is_integer() else 0
-    return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / fs,
+    fs_num, fs_den = cfg.sample_rate.as_integer_ratio()
+    f_num, f_den = cfg.frequency.as_integer_ratio()
+    period = fs_num * f_den // math.gcd(fs_num * f_den, fs_den * f_num)
+    return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / cfg.sample_rate,
                           initial=relaxed_actuator(env), period=period)

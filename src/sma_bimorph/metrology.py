@@ -198,17 +198,14 @@ def run_sweep(frequencies, duty_cycles, params: CircuitParams, props: WireProper
     return SweepTable(rows=rows, av_max=av_max, errors=errors)
 
 
-def spectral_energy_below(trace, fs: float, f_limit: float,
-                          exclude_dc: bool = True) -> float:
-    """Summed power of spectral bins strictly below f_limit.
+def spectral_energy_below(trace, fs: float, f_limit: float) -> float:
+    """Summed power of the mean-removed trace's bins in (0, f_limit).
 
     Used to quantify the slowly fluctuating displacement bias seen at
     high drive frequencies.
     """
     trace = np.asarray(trace, dtype=np.float64)
-    spectrum = np.fft.rfft(trace - trace.mean() if exclude_dc else trace)
+    spectrum = np.fft.rfft(trace - trace.mean())
     freqs = np.fft.rfftfreq(trace.size, d=1.0 / fs)
-    mask = freqs < f_limit
-    if exclude_dc:
-        mask &= freqs > 0.0
+    mask = (freqs > 0.0) & (freqs < f_limit)
     return float(np.sum(np.abs(spectrum[mask]) ** 2)) / trace.size

@@ -8,6 +8,7 @@ from sma_bimorph import (ActuatorState, PwmConfig, clearance_check, make_pwm_pai
                          relaxed_actuator, run_mode_trace, simulate_wire,
                          solve_equilibrium, tip_envelope)
 from sma_bimorph import mechanics
+from sma_bimorph.config import parse_config
 from sma_bimorph.errors import ClearanceError, NumericError, ParameterError
 from sma_bimorph.mechanics import simulate_drive
 from sma_bimorph.metrology import spectral_energy_below
@@ -56,6 +57,25 @@ def energy_minimum_delta(xi_top, xi_bottom, geom, props, span=0.7, coarse=4001, 
     return geom.g_tip * grid[values.argmin()]
 
 
+def chord_clearance(geom, thetas):
+    """Reference oracle: each pose and side projected one at a time onto 1024 beam points."""
+    x = np.linspace(0.0, geom.length, 1024)
+    tan_a = math.tan(geom.alpha)
+    best = math.inf
+    for theta in thetas:
+        delta = geom.g_tip * theta
+        beam = np.column_stack((x, np.zeros_like(x), delta * (x / geom.length) ** 2))
+        for z_off in (geom.anchor_standoff, -geom.anchor_standoff):
+            p0 = np.array([0.0, geom.mount_offset * tan_a, z_off])
+            p1 = np.array([geom.length, (geom.mount_offset + geom.length) * tan_a,
+                           delta + z_off])
+            seg = p1 - p0
+            s = np.clip((beam - p0) @ seg / (seg @ seg), 0.0, 1.0)
+            dist = np.linalg.norm(beam - (p0 + s[:, None] * seg), axis=1)
+            best = min(best, float(dist.min()) - geom.beam_radius)
+    return best
+
+
 class TestClearance:
     def test_static_pose_matches_exact_trigonometry(self, geom):
         # at theta = 0 the nearest approach is at the base anchor
@@ -73,6 +93,26 @@ class TestClearance:
             clearance_check(flat, tip_envelope(geom, 7e-3))
         with pytest.raises(ClearanceError):   # even a 1 mm deflection
             clearance_check(flat, [1e-3 / geom.g_tip])
+
+    @pytest.mark.parametrize("changes, tip_travel", [
+        ({}, 7e-3), ({"alpha": math.radians(8.0)}, 7e-3), ({"mount_offset": 1e-3}, 2e-3),
+    ], ids=["default", "8deg-mount", "1mm-mount-offset"])
+    def test_one_pass_matches_per_pose_projection(self, geom, changes, tip_travel):
+        geom = replace(geom, **changes)
+        theta_max = tip_travel / geom.g_tip
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            thetas = rng.uniform(-theta_max, theta_max, 7)
+            assert clearance_check(geom, thetas) == pytest.approx(
+                chord_clearance(geom, thetas), rel=1e-12, abs=0.0)
+
+    def test_collision_reports_the_per_pose_clearance(self, geom):
+        flat = replace(geom, alpha=0.0)
+        envelope = tip_envelope(flat, 7e-3)
+        with pytest.raises(ClearanceError) as caught:
+            clearance_check(flat, envelope)
+        assert caught.value.clearance == pytest.approx(
+            chord_clearance(flat, envelope), rel=1e-12, abs=0.0)
 
     def test_empty_range_rejected(self, geom):
         with pytest.raises(ParameterError):
@@ -271,8 +311,11 @@ class TestStepActuator:
             (1.0, 0.08, "bimorph", 1.0, 30.0, 60000, 0),
             (1.0, 0.10, "bimorph", 1.0, 30.3, 15001, 2000),
             (10.0, 0.10, "bimorph", 1.0, 4.0, 8000, 0),
+            (2.5, 0.10, "bimorph", 1.0, 12.0, 14801, 1600),
+            (0.5, 0.10, "bimorph", 1.0, 30.0, 14001, 4000),
         ], ids=["5hz-zero", "1hz", "20hz", "2hz-unimorph-up", "3hz-water", "15hz-21-periods",
-                "5hz-11-periods", "1hz-8pct-never", "1hz-30.3s", "10hz-4s"])
+                "5hz-11-periods", "1hz-8pct-never", "1hz-30.3s", "10hz-4s", "2.5hz-12s",
+                "0.5hz-30s"])
     def test_tiled_temperatures_keep_every_bit(self, props, env, geom, circuit, monkeypatch,
                                                frequency, duty, mode, multiplier, duration,
                                                steady_index, cycle_length):
@@ -283,8 +326,9 @@ class TestStepActuator:
         # leaves martensite, so its cycle is found only because each skip stops
         # at the next period boundary; at 5 Hz/10% the xi pairs at samples
         # 23801 and 28201 agree and their anchor xi do not; 30.3 s ends inside
-        # a period; and within 4 s at 10 Hz the carried state repeats at
-        # boundaries while the temperatures still rise
+        # a period; within 4 s at 10 Hz the carried state repeats at
+        # boundaries while the temperatures still rise; and 2.5 Hz and 0.5 Hz
+        # tile from their 800- and 4000-sample drive periods
         cfg = PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode)
         side = replace(env, convection_multiplier=multiplier)
         drive = make_pwm_pair(cfg, circuit, duration)
@@ -305,6 +349,18 @@ class TestStepActuator:
             for name in ("theta", "xi_top", "xi_bottom"):
                 values = getattr(tiled, name)[steady_index:]
                 assert np.array_equal(values[cycle_length:], values[:-cycle_length]), name
+
+    def test_period_is_the_numerator_of_fs_over_f(self, props, env, geom, circuit,
+                                                 monkeypatch):
+        # run_mode_trace hands simulate_drive fs // gcd(fs, f) for whole values,
+        # the default sweep and swim cells, and the exact ratio otherwise
+        monkeypatch.setattr(mechanics, "simulate_drive", lambda *args, initial, period: period)
+        cfg = parse_config("")
+        cells = [(f, 2000 // math.gcd(2000, int(f)))
+                 for f in (*cfg.sweep_frequencies, cfg.swim_drive_frequency)]
+        for frequency, period in cells + [(2.5, 800), (0.5, 4000)]:
+            pwm = replace(cfg.pwm, frequency=frequency)
+            assert run_mode_trace(pwm, circuit, props, env, geom, 4.0) == period, frequency
 
     @pytest.mark.parametrize("frequency, split", [(1.0, 40123), (15.0, 59000)],
                              ids=["1hz-inside-a-copied-cycle", "15hz-after-its-cycle"])
