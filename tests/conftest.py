@@ -3,12 +3,9 @@ from typing import NamedTuple
 
 import pytest
 
-from sma_bimorph import (CalibrationProblem, CalibrationResult, CircuitParams,
-                         Environment, ActuatorGeometry, WireProperties, calibrate,
-                         run_sweep)
-
-FULL_FREQUENCIES = (1.0, 5.0, 10.0, 15.0, 20.0)
-FULL_DUTY_CYCLES = tuple(d / 100.0 for d in range(1, 11))
+from sma_bimorph import (CalibrationResult, CircuitParams, Environment, ActuatorGeometry,
+                         WireProperties)
+from test_digests import anchor_fit, fitted_sweep
 
 
 class TimedCalibration(NamedTuple):
@@ -39,16 +36,12 @@ def circuit():
 @pytest.fixture(scope="session")
 def calibrated(circuit, props, env, geom):
     """The anchor fit: {g_tip, h, k_beam} against AMADO(1 Hz, 10%) = 7.08 mm."""
-    problem = CalibrationProblem(free=("g_tip", "h", "k_beam"),
-                                 targets=((1.0, 0.10, 7.08),), budget=150)
     start = time.perf_counter()
-    result = calibrate(problem, circuit, props, env, geom)
+    result = anchor_fit(circuit, props, env, geom)
     return TimedCalibration(result, time.perf_counter() - start)
 
 
 @pytest.fixture(scope="session")
 def calibrated_sweep(circuit, calibrated):
     """Full characterization grid evaluated at the calibrated parameters."""
-    fit = calibrated.result
-    return run_sweep(FULL_FREQUENCIES, FULL_DUTY_CYCLES, circuit,
-                     fit.props, fit.env, fit.geom)
+    return fitted_sweep(circuit, calibrated.result)

@@ -23,7 +23,7 @@ from sma_bimorph.config import parse_config
 from sma_bimorph.errors import ClearanceError
 from sma_bimorph.metrology import FirSpec
 
-from conftest import FULL_DUTY_CYCLES, FULL_FREQUENCIES
+from test_digests import FULL_DUTY_CYCLES, FULL_FREQUENCIES
 from test_mechanics import energy_minimum_delta
 
 

@@ -1,14 +1,16 @@
 """The characterization chain: `bimorph calibrate` writes the input config at
 the fit (`<scenario>_fitted.yaml`), and `bimorph sweep --config` on it
-measures the grid there.  The default and the fitted grid CSVs are pinned."""
+measures the grid there.  The sha256 of the default and the fitted grid CSVs
+are the `sweeps` section of tests/digests.json, which tests/test_digests.py
+computes."""
 
 import copy
-import hashlib
 from dataclasses import replace
 
 from sma_bimorph import calibrate, cli, parse_config, run_sweep
 from sma_bimorph.config import _KEYS, fitted_config_text, free_parameter_keys
 from sma_bimorph.csvio import SWEEP_SCHEMA, write_csv
+from test_digests import default_sweep_sha256, pinned, sweep_sha256
 
 # calibration.FREE_PARAMETERS name -> the (section, key) that sets it
 FREE_KEYS = {
@@ -38,24 +40,15 @@ run: {scenario: roundtrip}
 """
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def test_default_sweep_keeps_its_bytes(tmp_path):
     # the default 50-cell grid of 30 s cells at the nominal constants
-    assert cli.main(["sweep", "--out", str(tmp_path)]) == 0
-    assert _sha256(tmp_path / "default_sweep.csv") == (
-        "a0a16ac01274fda547132f2d56fd1f9c69333e12388043f68a3ec3e68bb87ee7")
+    assert default_sweep_sha256(tmp_path) == pinned("sweeps")["default"]
 
 
 def test_fitted_sweep_keeps_its_bytes(tmp_path, calibrated_sweep):
     # the default grid at the anchor fit: what `bimorph sweep --config
     # default_fitted.yaml` writes (see test_default_fit_round_trips)
-    path = write_csv(tmp_path / "fitted_sweep.csv", SWEEP_SCHEMA,
-                     cli.sweep_columns(calibrated_sweep))
-    assert _sha256(path) == (
-        "aef081d5fade37cd339038f3803e9331b8d19cd38b3937f5dc2f90dd9bb3897d")
+    assert sweep_sha256(calibrated_sweep, tmp_path) == pinned("sweeps")["fitted"]
 
 
 def test_each_free_parameter_is_set_by_one_key_in_its_unit():

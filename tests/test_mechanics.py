@@ -13,9 +13,7 @@ from sma_bimorph.errors import ClearanceError, NumericError, ParameterError
 from sma_bimorph.mechanics import simulate_drive
 from sma_bimorph.metrology import spectral_energy_below
 from sma_bimorph.sma import relaxed_state, temperature_trace
-
-TRACE_ARRAYS = ("t", "delta", "theta", "temp_top", "temp_bottom", "xi_top", "xi_bottom",
-                "sigma_top", "sigma_bottom")
+from test_digests import TILING_CASES, TRACE_ARRAYS, pinned
 
 
 def spy_temperature_traces(monkeypatch):
@@ -299,36 +297,23 @@ class TestStepActuator:
         direct = temperature_trace(drive.i_b, 330.0, props, env, 1 / 2000.0)
         assert np.array_equal(trace.temp_bottom, direct[:-1])
 
-    @pytest.mark.parametrize(
-        "frequency, duty, mode, multiplier, duration, steady_index, cycle_length", [
-            (5.0, 0.03, "bimorph", 1.0, 30.0, 13801, 400),
-            (1.0, 0.10, "bimorph", 1.0, 30.0, 15001, 2000),
-            (20.0, 0.10, "bimorph", 1.0, 30.0, 13651, 100),
-            (2.0, 0.40, "unimorph-up", 1.0, 30.0, 14401, 1000),
-            (3.0, 0.12, "bimorph", 1.5, 30.0, 60000, 0),
-            (15.0, 0.10, "bimorph", 1.0, 40.0, 48268, 8400),
-            (5.0, 0.10, "bimorph", 1.0, 30.0, 24201, 4400),
-            (1.0, 0.08, "bimorph", 1.0, 30.0, 60000, 0),
-            (1.0, 0.10, "bimorph", 1.0, 30.3, 15001, 2000),
-            (10.0, 0.10, "bimorph", 1.0, 4.0, 8000, 0),
-            (2.5, 0.10, "bimorph", 1.0, 12.0, 14801, 1600),
-            (0.5, 0.10, "bimorph", 1.0, 30.0, 14001, 4000),
-        ], ids=["5hz-zero", "1hz", "20hz", "2hz-unimorph-up", "3hz-water", "15hz-21-periods",
-                "5hz-11-periods", "1hz-8pct-never", "1hz-30.3s", "10hz-4s", "2.5hz-12s",
-                "0.5hz-30s"])
+    @pytest.mark.parametrize("case", TILING_CASES)
     def test_tiled_temperatures_keep_every_bit(self, props, env, geom, circuit, monkeypatch,
-                                               frequency, duty, mode, multiplier, duration,
-                                               steady_index, cycle_length):
+                                               case):
         # both temperature traces share one segment memo, which tiles them from
         # their fixed point, and run_mode_trace passes the drive's period, so
         # the coupled state is tiled from its exact cycle; stepping every
-        # coupled sample gives the same bits.  5 Hz/3% never
+        # coupled sample gives the same bits, and the cycle sits where the
+        # `tiling` section of tests/digests.json says.  5 Hz/3% never
         # leaves martensite, so its cycle is found only because each skip stops
-        # at the next period boundary; at 5 Hz/10% the xi pairs at samples
-        # 23801 and 28201 agree and their anchor xi do not; 30.3 s ends inside
-        # a period; within 4 s at 10 Hz the carried state repeats at
-        # boundaries while the temperatures still rise; and 2.5 Hz and 0.5 Hz
-        # tile from their 800- and 4000-sample drive periods
+        # at the next period boundary; at 5 Hz/10% two period boundaries can
+        # carry equal xi pairs with different anchor xi, so the cycle closes
+        # only once the anchors repeat too; 30.3 s ends inside a period; within
+        # 4 s at 10 Hz the carried state repeats at boundaries while the
+        # temperatures still rise; and 2.5 Hz and 0.5 Hz tile from their 800-
+        # and 4000-sample drive periods
+        frequency, duty, mode, multiplier, duration = TILING_CASES[case]
+        steady_index, cycle_length = pinned("tiling")[case]
         cfg = PwmConfig(frequency=frequency, duty_cycle=duty, mode=mode)
         side = replace(env, convection_multiplier=multiplier)
         drive = make_pwm_pair(cfg, circuit, duration)
