@@ -115,23 +115,23 @@ def apply_parameters(values: dict, props: WireProperties, env: Environment,
 def evaluate_targets(targets, params: CircuitParams, props: WireProperties,
                      env: Environment, geom: ActuatorGeometry,
                      run_length, steady_window, sample_rate=None,
-                     pwm: PwmConfig = PwmConfig(), fir: FirSpec | None = None):
+                     pwm: PwmConfig = PwmConfig(), fir: FirSpec = FirSpec()):
     """Model AMADO (mm) for every target cell.
 
     The cells are measured under Protocol(pwm, fir, run_length,
     steady_window); sample_rate, when given, replaces the template's sample
-    rate, and fir defaults to the standard design at that rate.
+    rate, the one the FIR is designed at.
     """
     if sample_rate is not None:
         pwm = replace(pwm, sample_rate=sample_rate)
-    protocol = Protocol(pwm, fir or FirSpec(fs=pwm.sample_rate), run_length, steady_window)
+    protocol = Protocol(pwm, fir, run_length, steady_window)
     return [measure_amado(protocol, frequency, duty_cycle, params, props, env, geom).amado
             for frequency, duty_cycle, _ in targets]
 
 
 def calibrate(problem: CalibrationProblem, params: CircuitParams,
               props: WireProperties, env: Environment, geom: ActuatorGeometry,
-              pwm: PwmConfig = PwmConfig(), fir: FirSpec | None = None) -> CalibrationResult:
+              pwm: PwmConfig = PwmConfig(), fir: FirSpec = FirSpec()) -> CalibrationResult:
     """Minimize the summed squared relative AMADO error over the free set.
 
     Every evaluation measures the targets under Protocol(pwm, fir,

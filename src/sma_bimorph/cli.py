@@ -36,7 +36,7 @@ from .metrology import (SweepTable, design_fir, filter_zero_phase, measure_amado
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = run_mode_trace(cfg.pwm, cfg.circuit, cfg.props, cfg.env, cfg.geom,
                            cfg.duration)
-    filtered = filter_zero_phase(design_fir(cfg.fir), trace.delta)
+    filtered = filter_zero_phase(design_fir(cfg.fir, cfg.pwm.sample_rate), trace.delta)
     columns = (trace.t, trace.delta * 1e3, filtered * 1e3)
     return [write_csv(out_dir / f"{cfg.scenario}_trace.csv", TRACE_SCHEMA, columns)]
 

@@ -256,8 +256,9 @@ def parse_config(text: str) -> ScenarioConfig:
         try:
             return owner(**fields.get(owner, {}), **derived)
         except ParameterError as exc:
-            # reported under the key that sets the field at fault, else under the section
-            key = _key_of(owner, exc.field)
+            # reported under the key that sets the field at fault, else under the section;
+            # the cutoff is checked against the rate by the protocol a ScenarioConfig builds
+            key = _key_of(owner, exc.field) or _key_of(FirSpec, exc.field)
             raise ConfigError(f"{'.'.join(key) if key else section}: {exc}") from exc
 
     pwm = build("drive", PwmConfig)
@@ -268,7 +269,7 @@ def parse_config(text: str) -> ScenarioConfig:
     props = build("sma", WireProperties)
     env = build("environment", Environment)
     geom = build("geometry", ActuatorGeometry)
-    fir = build("metrology", FirSpec, fs=pwm.sample_rate)
+    fir = build("metrology", FirSpec)
     swimmer = build("swimmer", SwimmerParams)
     calibration = build("calibration", CalibrationProblem)
 

@@ -381,5 +381,6 @@ def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,
     fs_num, fs_den = cfg.sample_rate.as_integer_ratio()
     f_num, f_den = cfg.frequency.as_integer_ratio()
     period = fs_num * f_den // math.gcd(fs_num * f_den, fs_den * f_num)
+    # simulate_drive's default, passed so perfbench traces relaxed_actuator under this call
     return simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1.0 / cfg.sample_rate,
                           initial=relaxed_actuator(env), period=period)

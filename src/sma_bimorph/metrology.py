@@ -1,12 +1,12 @@
 """Measurement pipeline: zero-phase FIR filtering, MADO/AMADO, sweeps.
 
 Mirrors the characterization protocol: 30 s runs sampled at 2 kHz, a
-zero-phase low-pass FIR (order 1000, 100 Hz cutoff, Hamming windowed
-sinc) applied to the displacement record, and the peak-to-peak output per
-actuation period (MADO) averaged over the final 15 s of steady-state data
-(AMADO).  Period boundaries are anchored to the channel-A rising edges of
-the drive, i.e. to integer multiples of 1/f.  One Protocol value holds
-that protocol and decides which (f, DC) cells it can measure.
+zero-phase low-pass FIR at that rate (order 1000, 100 Hz cutoff, Hamming
+windowed sinc) applied to the displacement record, and the peak-to-peak
+output per actuation period (MADO) averaged over the final 15 s of
+steady-state data (AMADO).  Period boundaries are anchored to the channel-A
+rising edges of the drive, at integer multiples of 1/f.  One Protocol value
+holds that protocol and decides which (f, DC) cells it can measure.
 
 Zero phase is realized by exact group-delay compensation of the symmetric
 kernel: the signal is padded by endpoint replication with order/2 samples
@@ -31,24 +31,22 @@ STEADY_WINDOW = 15.0   # s, the final stretch of a run averaged into AMADO
 
 @dataclass(frozen=True)
 class FirSpec:
-    """Hamming-windowed sinc low-pass design; order must be even for an
-    integer group delay."""
+    """Hamming-windowed sinc low-pass, designed at the drive's sample rate;
+    order must be even for an integer group delay."""
 
     order: int = 1000      # taps minus one
     cutoff: float = 100.0  # Hz
-    fs: float = PwmConfig.sample_rate  # Hz, the drive's default sampling
 
     def __post_init__(self):
         require("order", self.order, lambda v: v > 0 and v % 2 == 0, "a positive even integer")
-        require("fs", self.fs, lambda v: v > 0, "> 0")
-        require("cutoff", self.cutoff, lambda v: 0.0 < v < self.fs / 2.0,
-                f"in (0, fs/2 = {self.fs / 2.0})")
+        require("cutoff", self.cutoff, lambda v: v > 0, "> 0 Hz")
 
 
 @dataclass(frozen=True)
 class Protocol:
     """The characterization protocol: the PWM template each cell is cut
-    from, the FIR design, the run length and the steady window (s)."""
+    from, whose sample_rate the record is taken and the FIR designed at,
+    the FIR design, the run length and the steady window (s)."""
 
     pwm: PwmConfig = PwmConfig()
     fir: FirSpec = FirSpec()
@@ -59,9 +57,8 @@ class Protocol:
         require("run_length", self.run_length, lambda v: v > 0, "> 0 s")
         require("steady_window", self.steady_window, lambda v: 0 < v <= self.run_length,
                 f"in (0, run_length = {self.run_length}] s")
-        if self.fir.fs != self.pwm.sample_rate:
-            raise ParameterError(f"fir fs {self.fir.fs} Hz differs from the drive's "
-                                 f"sample_rate {self.pwm.sample_rate} Hz")
+        require("cutoff", self.fir.cutoff, lambda v: v < self.pwm.sample_rate / 2.0,
+                f"< sample_rate/2 = {self.pwm.sample_rate / 2.0} Hz")
 
     def cell(self, frequency, duty_cycle) -> PwmConfig:
         """The bimorph drive of the (f, DC) cell; raises ParameterError or
@@ -113,11 +110,11 @@ class SweepTable:
         raise KeyError((frequency, duty_cycle))
 
 
-def design_fir(spec: FirSpec) -> np.ndarray:
-    """Symmetric windowed-sinc kernel with unit DC gain."""
+def design_fir(spec: FirSpec, fs: float) -> np.ndarray:
+    """Symmetric windowed-sinc kernel with unit DC gain for a record sampled at fs Hz."""
     half = spec.order // 2
     m = np.arange(half + 1, dtype=np.float64)           # offsets 0..half
-    taps_half = np.sinc(2.0 * spec.cutoff / spec.fs * m)
+    taps_half = np.sinc(2.0 * spec.cutoff / fs * m)
     window = np.hamming(spec.order + 1)[half:]
     taps_half = taps_half * window
     kernel = np.concatenate((taps_half[:0:-1], taps_half))  # mirror for exact symmetry
@@ -137,22 +134,21 @@ def filter_zero_phase(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def compute_amado(trace, frequency: float, run_length: float, steady_window: float,
-                  fir: FirSpec = FirSpec()) -> AmadoResult:
+def compute_amado(trace, frequency: float, protocol: Protocol) -> AmadoResult:
     """Filter a displacement trace and average the per-period peak-to-peak.
 
-    trace is the raw displacement record in meters sampled at fir.fs; the
-    result is reported in millimeters like the published tables.
+    trace is the raw protocol.run_length displacement record in meters,
+    sampled at protocol.pwm.sample_rate, which protocol.fir is designed at;
+    the result is reported in millimeters like the published tables.
     """
-    fs = fir.fs
+    fs = protocol.pwm.sample_rate
     trace = np.asarray(trace, dtype=np.float64)
-    protocol = Protocol(PwmConfig(sample_rate=fs), fir, run_length, steady_window)
-    expected = int(round(run_length * fs))
+    expected = int(round(protocol.run_length * fs))
     if abs(trace.size - expected) > 1:
-        raise ParameterError(
-            f"trace has {trace.size} samples, expected {expected} for {run_length} s at {fs} Hz")
+        raise ParameterError(f"trace has {trace.size} samples, expected {expected} for "
+                             f"{protocol.run_length} s at {fs} Hz")
     edges = protocol.period_edges(frequency, trace.size)
-    filtered = filter_zero_phase(design_fir(fir), trace)
+    filtered = filter_zero_phase(design_fir(protocol.fir, fs), trace)
     mado = np.array([filtered[i0:i1].max() - filtered[i0:i1].min()
                      for i0, i1 in zip(edges, edges[1:])])
     mado_mm = mado * 1e3
@@ -166,12 +162,11 @@ def measure_amado(protocol: Protocol, frequency: float, duty_cycle: float,
     """AMADO of one bimorph drive cell: PWM drive, coupled trace, filtered MADO.
 
     The cell's drive is protocol.cell(frequency, duty_cycle); the trace runs
-    protocol.run_length and is filtered with protocol.fir.
+    protocol.run_length and is measured by compute_amado under protocol.
     """
     cell = protocol.cell(frequency, duty_cycle)
     trace = run_mode_trace(cell, params, props, env, geom, protocol.run_length)
-    result = compute_amado(trace.delta, frequency, protocol.run_length,
-                           protocol.steady_window, protocol.fir)
+    result = compute_amado(trace.delta, frequency, protocol)
     return replace(result, duty_cycle=duty_cycle)
 
 

@@ -151,7 +151,7 @@ class WireState:
     temperature: float     # K
     xi: float              # martensite fraction
     anchor_xi: float = 1.0
-    anchor_t: float = 293.15
+    anchor_t: float = Environment.t_amb
     branch: int = BRANCH_NONE
 
     def __post_init__(self):

@@ -21,7 +21,7 @@ from sma_bimorph import (Environment, PwmConfig, SwimmerParams,
 from sma_bimorph.cli import run_scenario
 from sma_bimorph.config import parse_config
 from sma_bimorph.errors import ClearanceError
-from sma_bimorph.metrology import FirSpec
+from sma_bimorph.metrology import FirSpec, Protocol
 
 from test_digests import FULL_DUTY_CYCLES, FULL_FREQUENCIES
 from test_mechanics import energy_minimum_delta
@@ -113,7 +113,7 @@ def test_criterion_06_unimorph_bimorph_ratio(circuit, calibrated, calibrated_swe
     fit = calibrated.result
     cfg = PwmConfig(frequency=1.0, duty_cycle=0.10, mode="unimorph-up")
     trace = run_mode_trace(cfg, circuit, fit.props, fit.env, fit.geom, 30.0)
-    uni = compute_amado(trace.delta, 1.0, 30.0, 15.0).amado
+    uni = compute_amado(trace.delta, 1.0, Protocol()).amado
     bi = calibrated_sweep.row(1.0, 0.10).amado
     ratio = uni / bi
     ok = 0.35 <= ratio <= 0.65
@@ -212,10 +212,10 @@ def test_criterion_09_mechanics_oracle(props, env, geom):
 
 
 def test_criterion_10_metrology(tmp_path):
-    kernel = design_fir(FirSpec())
+    fs = 2000.0
+    kernel = design_fir(FirSpec(), fs)
     dc_gain_err = abs(kernel.sum() - 1.0)
 
-    fs = 2000.0
     t = np.arange(8000) / fs
     signal = np.sin(2 * np.pi * 10.0 * t)
     out = filter_zero_phase(kernel, signal)
@@ -226,7 +226,7 @@ def test_criterion_10_metrology(tmp_path):
 
     t30 = np.arange(int(30 * fs)) / fs
     a = 1.3e-3
-    sine_amado = compute_amado(a * np.sin(2 * np.pi * 5.0 * t30), 5.0, 30.0, 15.0).amado
+    sine_amado = compute_amado(a * np.sin(2 * np.pi * 5.0 * t30), 5.0, Protocol()).amado
     amado_err = abs(sine_amado - 2 * a * 1e3) / (2 * a * 1e3)
 
     cfg = parse_config("metrology:\n  frequencies_hz: [1, 5]\n"
@@ -249,7 +249,7 @@ def test_criterion_11_swimmer(circuit, calibrated):
     water = Environment(t_amb=fit.env.t_amb, convection_multiplier=1.5)
     cfg = PwmConfig(frequency=3.0, duty_cycle=0.12, mode="bimorph")
     trace = run_mode_trace(cfg, circuit, fit.props, water, fit.geom, 30.0)
-    amado_mm = compute_amado(trace.delta, 3.0, 30.0, 15.0).amado
+    amado_mm = compute_amado(trace.delta, 3.0, Protocol()).amado
     params = SwimmerParams()
     amplitude = params.tail_gain * (amado_mm * 1e-3) / 2.0
     params = fit_thrust_coefficient(3.0, amplitude, 2.39e-3, params)

@@ -248,6 +248,7 @@ class TestCliProcess:
          "drive.sample_rate_hz: sample_rate must be >= 10x frequency = 10.0 Hz, got 5.0"),
         ("geometry:\n  wire_angle_deg: 90\n", "geometry.wire_angle_deg: alpha must be"),
         ("metrology:\n  fir_order: 3\n", "metrology.fir_order: order must be"),
+        ("metrology:\n  fir_cutoff_hz: 1000\n", "metrology.fir_cutoff_hz: cutoff must be"),
         ("drive:\n  sample_rate_hz: 500\n  duration_s: 2\n",
          "drive.sample_rate_hz: must be >= 1000 Hz"),
         ("drive:\n  sample_rate_hz: 150\n", "drive.sample_rate_hz: must be >= 1000 Hz"),
@@ -290,8 +291,8 @@ class TestCliProcess:
         ("drive:\n  duration_s: 2.5\n",
          "drive.duration_s: trace spans 2.500000 periods; an integer number is required"),
     ], ids=["calibration-run", "sma-diameter", "drive-rate", "geometry-angle", "fir-order",
-            "drive-rate-500", "drive-rate-150", "swim-drive-frequency", "swim-scan-negative",
-            "calibration-target-zero-frequency", "sweep-frequency-negative",
+            "fir-cutoff-nyquist", "drive-rate-500", "drive-rate-150", "swim-drive-frequency",
+            "swim-scan-negative", "calibration-target-zero-frequency", "sweep-frequency-negative",
             "sweep-duty-cycle-above-100", "sweep-cell-overlap", "sweep-cell-short-window",
             "calibration-cell-one-period", "drive-overlap", "swim-cell-one-period",
             "drive-on-height", "geometry-mass", "geometry-volume", "sweep-frequency-duplicate",

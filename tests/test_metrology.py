@@ -20,20 +20,20 @@ def kernel_response(kernel, frequency, fs):
 
 class TestDesignFir:
     def test_unit_dc_gain(self):
-        kernel = design_fir(FirSpec())
+        kernel = design_fir(FirSpec(), 2000.0)
         assert abs(kernel.sum() - 1.0) < 1e-9
 
     def test_attenuation_at_cutoff(self):
-        kernel = design_fir(FirSpec(order=1000, cutoff=100.0, fs=2000.0))
+        kernel = design_fir(FirSpec(order=1000, cutoff=100.0), 2000.0)
         level_db = 20.0 * math.log10(kernel_response(kernel, 100.0, 2000.0))
         assert -8.0 <= level_db <= -5.0   # windowed sinc sits near -6 dB
 
     def test_exact_symmetry(self):
-        kernel = design_fir(FirSpec())
+        kernel = design_fir(FirSpec(), 2000.0)
         assert np.array_equal(kernel, kernel[::-1])
 
     def test_passband_and_stopband(self):
-        kernel = design_fir(FirSpec())
+        kernel = design_fir(FirSpec(), 2000.0)
         assert kernel_response(kernel, 10.0, 2000.0) == pytest.approx(1.0, abs=1e-3)
         assert kernel_response(kernel, 400.0, 2000.0) < 1e-3
 
@@ -41,14 +41,14 @@ class TestDesignFir:
         with pytest.raises(ParameterError):
             FirSpec(order=999)          # odd order
         with pytest.raises(ParameterError):
-            FirSpec(cutoff=1000.0)      # at Nyquist
+            FirSpec(cutoff=0.0)
         with pytest.raises(ParameterError):
             FirSpec(order=0)
 
 
 class TestFilterZeroPhase:
     def test_constant_preserved_including_edges(self):
-        kernel = design_fir(FirSpec())
+        kernel = design_fir(FirSpec(), 2000.0)
         signal = np.full(5000, 3.7)
         out = filter_zero_phase(kernel, signal)
         assert out.shape == signal.shape
@@ -59,7 +59,7 @@ class TestFilterZeroPhase:
         fs = 2000.0
         t = np.arange(8000) / fs
         signal = np.sin(2 * np.pi * frequency * t)
-        out = filter_zero_phase(design_fir(FirSpec()), signal)
+        out = filter_zero_phase(design_fir(FirSpec(), fs), signal)
         # cross-correlation peaks at zero lag; search within half a period
         # so the periodic correlation cannot alias to +/- one cycle
         half_period = int(fs / frequency / 2)
@@ -74,12 +74,12 @@ class TestFilterZeroPhase:
         fs = 2000.0
         t = np.arange(8000) / fs
         signal = np.sin(2 * np.pi * 100.0 * t)
-        out = filter_zero_phase(design_fir(FirSpec()), signal)
+        out = filter_zero_phase(design_fir(FirSpec(), fs), signal)
         amplitude = out[2000:6000].max()
         assert 10 ** (-8 / 20) <= amplitude <= 10 ** (-5 / 20)
 
     def test_signal_too_short(self):
-        kernel = design_fir(FirSpec())
+        kernel = design_fir(FirSpec(), 2000.0)
         with pytest.raises(ParameterError):
             filter_zero_phase(kernel, np.zeros(500))
 
@@ -87,7 +87,7 @@ class TestFilterZeroPhase:
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, a, b, seed):
         rng = np.random.default_rng(seed)
-        kernel = design_fir(FirSpec(order=100))
+        kernel = design_fir(FirSpec(order=100), 2000.0)
         x = rng.normal(size=1500)
         y = rng.normal(size=1500)
         lhs = filter_zero_phase(kernel, a * x + b * y)
@@ -97,14 +97,14 @@ class TestFilterZeroPhase:
 
 class TestComputeAmado:
     def test_constant_trace_zero(self):
-        result = compute_amado(np.full(60000, 2e-3), 1.0, 30.0, 15.0)
+        result = compute_amado(np.full(60000, 2e-3), 1.0, Protocol())
         assert result.amado == 0.0
 
     def test_sinusoid_peak_to_peak(self):
         fs = 2000.0
         t = np.arange(int(30 * fs)) / fs
         a = 1.7e-3
-        result = compute_amado(a * np.sin(2 * np.pi * 5.0 * t), 5.0, 30.0, 15.0)
+        result = compute_amado(a * np.sin(2 * np.pi * 5.0 * t), 5.0, Protocol())
         assert result.amado == pytest.approx(2 * a * 1e3, rel=1e-2)
         assert result.std < 0.05 * result.amado
 
@@ -114,8 +114,8 @@ class TestComputeAmado:
         f = 2.0
         t = np.arange(int(30 * fs)) / fs
         saw = 1e-3 * ((t * f) % 1.0) + 5e-4 + 2e-4 * np.sin(2 * np.pi * 0.2 * t)
-        result = compute_amado(saw, f, 30.0, 15.0)
-        filtered = filter_zero_phase(design_fir(FirSpec()), saw)
+        result = compute_amado(saw, f, Protocol())
+        filtered = filter_zero_phase(design_fir(FirSpec(), fs), saw)
         expected = []
         k = int(15 * f)
         while k < int(30 * f):
@@ -129,11 +129,22 @@ class TestComputeAmado:
 
     def test_too_few_periods_rejected(self):
         with pytest.raises(WindowError):
-            compute_amado(np.zeros(4000), 1.0, 2.0, 2.0)
+            compute_amado(np.zeros(4000), 1.0, Protocol(run_length=2.0, steady_window=2.0))
 
     def test_window_longer_than_run_rejected(self):
         with pytest.raises(ParameterError):
-            compute_amado(np.zeros(60000), 1.0, 30.0, 31.0)
+            compute_amado(np.zeros(60000), 1.0, Protocol(run_length=30.0, steady_window=31.0))
+
+    def test_record_must_span_the_run_at_the_protocol_rate(self):
+        compute_amado(np.zeros(60001), 1.0, Protocol())     # one sample either way is kept
+        with pytest.raises(ParameterError, match="trace has 59998 samples, expected 60000 "
+                                                 "for 30.0 s at 2000.0 Hz"):
+            compute_amado(np.zeros(59998), 1.0, Protocol())
+        fs = 4000.0
+        t = np.arange(int(30 * fs)) / fs
+        result = compute_amado(1e-3 * np.sin(2 * np.pi * 5.0 * t), 5.0,
+                               Protocol(PwmConfig(sample_rate=fs)))
+        assert result.amado == pytest.approx(2.0, rel=1e-2)
 
     @given(power=st.integers(-6, 6))
     @settings(max_examples=13, deadline=None)
@@ -142,24 +153,27 @@ class TestComputeAmado:
         t = np.arange(int(12 * fs)) / fs
         base = 1e-3 * np.sin(2 * np.pi * 3.0 * t) + 2e-4 * np.sin(2 * np.pi * 7.0 * t)
         c = 2.0 ** power
-        r1 = compute_amado(base, 3.0, 12.0, 6.0)
-        r2 = compute_amado(c * base, 3.0, 12.0, 6.0)
+        protocol = Protocol(run_length=12.0, steady_window=6.0)
+        r1 = compute_amado(base, 3.0, protocol)
+        r2 = compute_amado(c * base, 3.0, protocol)
         assert r2.amado == c * r1.amado
 
     def test_scale_equivariance_general(self):
         fs = 2000.0
         t = np.arange(int(12 * fs)) / fs
         base = 1e-3 * np.sin(2 * np.pi * 3.0 * t)
-        r1 = compute_amado(base, 3.0, 12.0, 6.0)
-        r2 = compute_amado(0.3183 * base, 3.0, 12.0, 6.0)
+        protocol = Protocol(run_length=12.0, steady_window=6.0)
+        r1 = compute_amado(base, 3.0, protocol)
+        r2 = compute_amado(0.3183 * base, 3.0, protocol)
         assert r2.amado == pytest.approx(0.3183 * r1.amado, rel=1e-12)
 
 
 class TestProtocol:
-    def test_fir_rate_must_match_the_drive(self):
-        with pytest.raises(ParameterError, match="^fir"):
-            Protocol(fir=FirSpec(fs=4000.0))
-        Protocol(PwmConfig(sample_rate=4000.0), FirSpec(fs=4000.0))
+    @pytest.mark.parametrize("cutoff", [1000.0, 1500.0])   # at and above 2 kHz's Nyquist
+    def test_cutoff_must_be_below_the_drives_nyquist(self, cutoff):
+        with pytest.raises(ParameterError, match="^cutoff must be < sample_rate/2 = 1000.0 Hz"):
+            Protocol(fir=FirSpec(cutoff=cutoff))
+        Protocol(PwmConfig(sample_rate=4000.0), FirSpec(cutoff=1500.0))
 
     @pytest.mark.parametrize("run_length, steady_window, name", [
         (0.0, 0.0, "run_length"), (4.0, 0.0, "steady_window"), (4.0, 5.0, "steady_window"),
@@ -170,7 +184,7 @@ class TestProtocol:
 
     def test_cell_is_the_bimorph_drive_of_the_template(self):
         template = PwmConfig(phase_shift=0.4, mode="unimorph-up", sample_rate=4000.0)
-        cell = Protocol(template, FirSpec(fs=4000.0)).cell(5.0, 0.3)
+        cell = Protocol(template).cell(5.0, 0.3)
         assert cell == PwmConfig(frequency=5.0, duty_cycle=0.3, phase_shift=0.4,
                                  mode="bimorph", sample_rate=4000.0)
 
@@ -193,7 +207,7 @@ class TestProtocol:
 
     @pytest.mark.parametrize("fs", [2000.0, 3000.0, 4000.0])
     def test_periods_start_on_channel_a_rising_edges(self, fs):
-        protocol = Protocol(PwmConfig(sample_rate=fs), FirSpec(fs=fs), 6.0, 4.0)
+        protocol = Protocol(PwmConfig(sample_rate=fs), run_length=6.0, steady_window=4.0)
         for frequency in (1.0, 2.5, 3.0, 7.0, 13.0, 20.0):
             drive = make_pwm_pair(protocol.cell(frequency, 0.1), CircuitParams(), 6.0)
             edges = protocol.period_edges(frequency, drive.i_t.size)
