@@ -37,7 +37,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     trace = run_mode_trace(cfg.pwm, cfg.circuit, cfg.props, cfg.env, cfg.geom,
                            cfg.duration)
     filtered = filter_zero_phase(design_fir(cfg.fir, cfg.pwm.sample_rate), trace.delta)
-    columns = (trace.t, trace.delta * 1e3, filtered * 1e3)
+    columns = (np.arange(trace.delta.size) / cfg.pwm.sample_rate, trace.delta * 1e3,
+               filtered * 1e3)
     return [write_csv(out_dir / f"{cfg.scenario}_trace.csv", TRACE_SCHEMA, columns)]
 
 

@@ -91,7 +91,6 @@ class DriveTrace:
 class PowerTrace:
     """Instantaneous power samples and their mean over whole periods."""
 
-    t: np.ndarray
     p_a: np.ndarray   # W
     p_bar: float      # W
 
@@ -153,4 +152,4 @@ def average_power(trace: DriveTrace, params: CircuitParams) -> PowerTrace:
         raise WindowError(
             f"trace spans {periods:.6f} periods; an integer number is required")
     p_a = instantaneous_power(trace.i_t, trace.i_b, params)
-    return PowerTrace(t=trace.t, p_a=p_a, p_bar=float(np.mean(p_a)))
+    return PowerTrace(p_a=p_a, p_bar=float(np.mean(p_a)))

@@ -88,7 +88,6 @@ class ActuatorState:
 class DisplacementTrace:
     """Simulated laser-sensor record plus wire diagnostics."""
 
-    t: np.ndarray
     delta: np.ndarray          # m
     theta: np.ndarray
     temp_top: np.ndarray
@@ -232,28 +231,29 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
       from an earlier period once the drive reaches its fixed point.
     * _balance is a pure function of the xi pair, so it is solved only at
       the first step and when the pair differs from the last pair solved.
-    * Dormant stretches are skipped.  Once a step n leaves
-      xi = anchor_xi = 1 on both wires (so the balance was last solved for
-      (1, 1)), and each wire's temps[n] and, on the heating branch,
-      anchors[n] are at or below its stress-shifted A_s, every later step
-      whose two temperatures stay at or below A_s keeps xi = 1 exactly
-      (sma._phase_step).  Such steps change only the branch and anchor
-      temperature, which the arrays already hold, so the records are
-      filled by slice up to the first step that exceeds A_s, and the
-      branch is read there.
+    * A drive that is martensitic throughout is filled, not stepped: both
+      initial wires hold xi = anchor_xi = 1, and after every step each
+      wire's temperature and, where its branch is heating, its anchor
+      temperature are at or below the A_s that the (1, 1) balance shifts.
+      Then every step keeps xi = 1 exactly (sma._phase_step): the M_f
+      clamp gives 1.0, heating from an anchor at or below A_s gives
+      1 * 1.0 / 1.0, cooling gives 1 - 0 * x / d, and BRANCH_NONE keeps xi.
+      So the records hold the (1, 1) balance at every sample, and the
+      cycle closes one period after the first period boundary, as the
+      loop would find it.
     * With period P > 0, the coupled state is tiled from its exact cycle.
       The six step inputs (both temperature, branch and anchor traces)
       repeat every P samples after the last sample at which one of them
       differs from its value P samples later.  From there the carried
       state (xi, anchor xi and branch of each wire) is kept at every
-      period boundary, and a dormant skip stops at the next one; theta,
-      the stresses and the band are the balance of the xi pair.  The
-      first boundary whose state equals, bit for bit, that of an earlier
-      boundary closes a cycle: every later sample repeats it, so the
-      records of each whole cycle that still fits are copied from the
-      last one and the rest is stepped, ending on the true final_state.
-      Every residual of a copied cycle was already seen.  steady_index
-      and cycle_length report the cycle (size and 0 if none closes).
+      period boundary; theta, the stresses and the band are the balance
+      of the xi pair.  The first boundary whose state equals, bit for bit,
+      that of an earlier boundary closes a cycle: every later sample
+      repeats it, so the records of each whole cycle that still fits are
+      copied from the last one and the rest is stepped, ending on the true
+      final_state.  Every residual of a copied cycle was already seen.
+      steady_index and cycle_length report the cycle (size and 0 if none
+      closes).
     """
     i_t, i_b = _sample_arrays(dt, i_t, i_b, "channel current arrays")
     if initial is None:
@@ -281,7 +281,6 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
     m_f_t, m_s_t, a_s_t, a_f_t = band(sigma_t)
     m_f_b, m_s_b, a_s_b, a_f_b = band(sigma_b)
     solved_t = solved_b = None     # the xi pair of the last balance solved
-    exceeding = None               # the steps after which a wire is above A_s at (1, 1)
     steady_index, cycle_length = size, 0
     boundary = size                # the next sample at which the carried state is kept
     if 0 < period < size:
@@ -294,6 +293,16 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
 
     max_resid = 0.0
     n = 0
+    if top.xi == top.anchor_xi == bottom.xi == bottom.anchor_xi == 1.0 and all(
+            np.all((temps[1:] <= a_s)
+                   & ((branches[1:] != BRANCH_HEATING) | (anchors[1:] <= a_s)))
+            for temps, branches, anchors, a_s in ((temps_t, branches_t, anchors_t, a_s_t),
+                                                  (temps_b, branches_b, anchors_b, a_s_b))):
+        for out, value in zip(outs, (theta, 1.0, 1.0, sigma_t, sigma_b)):
+            out[:] = value
+        if boundary + period < size:
+            steady_index, cycle_length = boundary, period
+        n = size
     while n < size:
         if n == boundary:
             start = kept.setdefault(
@@ -333,34 +342,14 @@ def simulate_drive(i_t, i_b, props: WireProperties, env: Environment,
             m_f_t, m_s_t, a_s_t, a_f_t = band(sigma_t)
             m_f_b, m_s_b, a_s_b, a_f_b = band(sigma_b)
 
-        if (xi_t == 1.0 and xi_b == 1.0 and anc_xi_t == 1.0 and anc_xi_b == 1.0
-                and temp_t <= a_s_t and temp_b <= a_s_b
-                and (br_t != BRANCH_HEATING or anc_t_t <= a_s_t)
-                and (br_b != BRANCH_HEATING or anc_t_b <= a_s_b)):
-            if exceeding is None:
-                exceeding = np.flatnonzero((temps_t[1:] > a_s_t) | (temps_b[1:] > a_s_b))
-            k = exceeding.searchsorted(n)
-            end = int(exceeding[k]) if k < exceeding.size else size
-            if end > boundary:
-                end = boundary
-            out_theta[n:end] = theta
-            out_xi_t[n:end] = 1.0
-            out_xi_b[n:end] = 1.0
-            out_sig_t[n:end] = sigma_t
-            out_sig_b[n:end] = sigma_b
-            br_t = br_trace_t[end]
-            br_b = br_trace_b[end]
-            n = end
-
     final = ActuatorState(
         top=_final_wire(top, temps_t, branches_t, anchors_t, xi_t, anc_xi_t),
         bottom=_final_wire(bottom, temps_b, branches_b, anchors_b, xi_b, anc_xi_b))
     return DisplacementTrace(
-        t=np.arange(size, dtype=np.float64) * dt, delta=geom.g_tip * out_theta,
-        theta=out_theta, temp_top=temps_t[:-1], temp_bottom=temps_b[:-1],
-        xi_top=out_xi_t, xi_bottom=out_xi_b, sigma_top=out_sig_t, sigma_bottom=out_sig_b,
-        max_residual=max_resid, final_state=final, steady_index=steady_index,
-        cycle_length=cycle_length)
+        delta=geom.g_tip * out_theta, theta=out_theta, temp_top=temps_t[:-1],
+        temp_bottom=temps_b[:-1], xi_top=out_xi_t, xi_bottom=out_xi_b, sigma_top=out_sig_t,
+        sigma_bottom=out_sig_b, max_residual=max_resid, final_state=final,
+        steady_index=steady_index, cycle_length=cycle_length)
 
 
 def run_mode_trace(cfg: PwmConfig, params: CircuitParams, props: WireProperties,

@@ -33,9 +33,9 @@ The branch a wire is on depends on the temperatures only through the
 sign of each step's temperature change, so the branch, and the
 temperature at which it last switched, follow from the temperature trace
 alone (_branch_trace), and both stepping loops read them from there.
-mechanics.simulate_drive uses this to skip stretches in which both wires
-stay fully martensitic; its docstring gives the conditions under which
-that skip is exact.
+mechanics.simulate_drive uses this to fill, without stepping, a drive in
+which both wires stay fully martensitic throughout; its docstring gives
+the conditions under which that fill is exact.
 
 Temperatures are kelvin, stresses Pa, strains dimensionless.  Defaults
 are nominal nitinol values for a 38.1 um wire with a 90 C austenite
@@ -357,10 +357,11 @@ def simulate_wire(currents, sigmas, props: WireProperties, env: Environment,
     _phase_step advances xi to each new temperature in the band that the
     step's stress shifts, on the branch and anchor temperature that
     _branch_trace gives, as each wire of mechanics.simulate_drive is
-    stepped; so xi stays 1 wherever that loop skips a stretch (temps and,
-    on the heating branch, anchors at or below the shifted A_s, from
-    xi = anchor_xi = 1).  Returns (temperature trace, xi trace, final
-    WireState), the traces holding the state after each step.  Raises
+    stepped; so xi stays 1 throughout a drive that simulate_drive fills
+    as martensitic throughout (temps and, on the heating branch, anchors
+    at or below the shifted A_s, from xi = anchor_xi = 1).  Returns
+    (temperature trace, xi trace, final WireState), the traces holding the
+    state after each step.  Raises
     NumericError at the first sample whose temperature is non-finite.
     """
     currents, sigmas = _sample_arrays(dt, currents, sigmas, "currents and sigmas")

@@ -151,10 +151,9 @@ def trajectory_columns(params: SwimmerParams, amplitude: float, frequency: float
     the tail is driven sinusoidally at frequency with amplitude (rad) for
     duration seconds at sample_rate; the columns of csvio.TRAJECTORY_SCHEMA.
     """
-    dt = 1.0 / sample_rate
-    t = np.arange(int(round(duration * sample_rate))) * dt
+    t = np.arange(int(round(duration * sample_rate))) / sample_rate
     tail = amplitude * np.sin(2.0 * np.pi * frequency * t)
-    track = run_swimmer(tail, params, dt)
+    track = run_swimmer(tail, params, 1.0 / sample_rate)
     return (t, track.x[1:] * 1e3, track.y[1:] * 1e3, np.degrees(track.psi[1:]),
             track.v[1:] * 1e3)
 

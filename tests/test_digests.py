@@ -5,7 +5,7 @@ what today's model computes, one section each:
 
 - ``artifacts``: for short runs of every CLI command, the sha256 of each
   artifact it writes;
-- ``traces``: for five coupled traces, the sha256 of each of the nine trace
+- ``traces``: for five coupled traces, the sha256 of each of the eight trace
   arrays and of repr(final_state), plus max_residual;
 - ``sweeps``: the sha256 of the default 50-cell sweep CSV and of the same
   grid at the anchor fit (tests/test_characterization.py);
@@ -64,7 +64,7 @@ TRACES = {
     "15hz-10pct": (15.0, 0.10, "bimorph"),
     "unimorph-up-2hz-40pct": (2.0, 0.40, "unimorph-up"),
 }
-TRACE_ARRAYS = ("t", "delta", "theta", "temp_top", "temp_bottom", "xi_top", "xi_bottom",
+TRACE_ARRAYS = ("delta", "theta", "temp_top", "temp_bottom", "xi_top", "xi_bottom",
                 "sigma_top", "sigma_bottom")
 
 # the characterization grid, and the anchor fit of criterion 3: {g_tip, h,

@@ -12,7 +12,8 @@ from sma_bimorph.config import parse_config
 from sma_bimorph.errors import ClearanceError, NumericError, ParameterError
 from sma_bimorph.mechanics import simulate_drive
 from sma_bimorph.metrology import spectral_energy_below
-from sma_bimorph.sma import relaxed_state, temperature_trace
+from sma_bimorph.sma import (BRANCH_HEATING, WireState, relaxed_state, temperature_trace,
+                             transformation_temperatures)
 from test_digests import TILING_CASES, TRACE_ARRAYS, pinned
 
 
@@ -29,6 +30,18 @@ def spy_temperature_traces(monkeypatch):
 
     monkeypatch.setattr(mechanics, "temperature_trace", spy)
     return calls
+
+
+def assert_wires_replay(trace, i_t, i_b, initial, props, env):
+    """Each wire of a coupled trace from initial, replayed alone by simulate_wire
+    under the stresses the trace recorded, follows the trace bit for bit."""
+    for current, sigma, temp, xi, state in (
+            (i_t, trace.sigma_top, trace.temp_top, trace.xi_top, initial.top),
+            (i_b, trace.sigma_bottom, trace.temp_bottom, trace.xi_bottom, initial.bottom)):
+        replay_temp, replay_xi, _ = simulate_wire(current, sigma, props, env, 1 / 2000.0,
+                                                  state=state)
+        assert np.array_equal(replay_temp[:-1], temp[1:])
+        assert np.array_equal(replay_xi[:-1], xi[1:])
 
 
 def energy_minimum_delta(xi_top, xi_bottom, geom, props, span=0.7, coarse=4001, fine=4001):
@@ -178,22 +191,15 @@ class TestStepActuator:
     def test_wire_replay_reproduces_coupled_trace(self, props, env, geom, circuit,
                                                   frequency, duty):
         # each wire of the coupled loop, replayed alone under the stresses the
-        # trace recorded, follows the same path bit for bit, also through the
-        # skipped stretches of a cell that never leaves martensite; so does
-        # the public equilibrium solved for each recorded xi pair
+        # trace recorded, follows the same path bit for bit, also in a cell
+        # that never leaves martensite and is filled without stepping; so
+        # does the public equilibrium solved for each recorded xi pair
         cfg = PwmConfig(frequency=frequency, duty_cycle=duty)
         drive = make_pwm_pair(cfg, circuit, 4.0)
         initial = relaxed_actuator(env)
         trace = simulate_drive(drive.i_t, drive.i_b, props, env, geom, 1 / 2000.0,
                                initial=initial)
-        for current, sigma, temp, xi, state in (
-                (drive.i_t, trace.sigma_top, trace.temp_top, trace.xi_top, initial.top),
-                (drive.i_b, trace.sigma_bottom, trace.temp_bottom, trace.xi_bottom,
-                 initial.bottom)):
-            replay_temp, replay_xi, _ = simulate_wire(current, sigma, props, env,
-                                                      1 / 2000.0, state=state)
-            assert np.array_equal(replay_temp[:-1], temp[1:])
-            assert np.array_equal(replay_xi[:-1], xi[1:])
+        assert_wires_replay(trace, drive.i_t, drive.i_b, initial, props, env)
         wire = initial.top
         solved = [solve_equilibrium(replace(wire, xi=float(xi_t)), replace(wire, xi=float(xi_b)),
                                     geom, props)
@@ -201,6 +207,34 @@ class TestStepActuator:
         assert np.array_equal([eq.theta for eq in solved], trace.theta[1:])
         assert np.array_equal([eq.sigma_top for eq in solved], trace.sigma_top[1:])
         assert np.array_equal([eq.sigma_bottom for eq in solved], trace.sigma_bottom[1:])
+
+    @pytest.mark.parametrize("offset, anchor_above_a_f, first_xi, lowest_xi", [
+        (-0.01, False, 1.0, 1.0), (0.5, False, 1.0, 0.999183), (-5.0, True, 0.0, 0.0),
+    ], ids=["just-below-a-s", "above-a-s", "heating-anchor-above-a-f"])
+    def test_hold_current_near_a_s_replays_bit_for_bit(self, props, env, geom, offset,
+                                                       anchor_above_a_f, first_xi, lowest_xi):
+        # both wires carry the current that holds them at T_inf = A_s + offset,
+        # A_s that of the relaxed (1, 1) balance (about 344.75 K), for 2 s: just
+        # below A_s the drive is martensitic throughout and filled, just above
+        # it the wires transform a little; a wire on the heating branch whose
+        # anchor lies above A_f steps to xi = 0 (and then chatters between 0
+        # and 1 under the lagged stress), although every temperature stays
+        # 5 K below A_s, so the anchors decide whether a drive is filled too
+        initial = relaxed_actuator(env)
+        relaxed = solve_equilibrium(initial.top, initial.bottom, geom, props)
+        _, _, a_s, a_f = transformation_temperatures(props, relaxed.sigma_top)
+        if anchor_above_a_f:
+            wire = WireState(temperature=330.0, xi=1.0, anchor_xi=1.0, anchor_t=a_f + 5.0,
+                             branch=BRANCH_HEATING)
+            initial = ActuatorState(top=wire, bottom=wire)
+        h_area = props.h * env.convection_multiplier * props.lateral_area
+        current = np.full(4000, math.sqrt((a_s + offset - env.t_amb) * h_area
+                                          / props.resistance))
+        trace = simulate_drive(current, current, props, env, geom, 1 / 2000.0,
+                               initial=initial)
+        assert_wires_replay(trace, current, current, initial, props, env)
+        assert trace.xi_top[1] == first_xi
+        assert trace.xi_top.min() == pytest.approx(lowest_xi, abs=1e-6)
 
     def test_final_state_holds_python_floats(self, props, env, geom, circuit):
         # the loop reads each drive sample as a float, so no NumPy scalar
@@ -221,9 +255,9 @@ class TestStepActuator:
                                                frequency, duty, mode, split):
         # a drive cut at one sample and continued from the first part's
         # final_state joins into the unsplit trace, theta and delta included;
-        # 5 Hz/3% never leaves martensite, and 1 Hz/2% is cut inside the
-        # martensitic stretch (samples 1 to 34) before the first wire reaches
-        # A_s, so both cuts fall inside skipped stretches
+        # 5 Hz/3% never leaves martensite, so both parts are filled, and
+        # 1 Hz/2% is cut before the top wire first exceeds A_s (sample 36),
+        # so its head is filled and its tail stepped
         # 10 Hz/10% is cut where the top current switches on, so the
         # continuation's first step leaves the cooling branch and anchors at
         # the stored temperature
@@ -305,8 +339,8 @@ class TestStepActuator:
         # the coupled state is tiled from its exact cycle; stepping every
         # coupled sample gives the same bits, and the cycle sits where the
         # `tiling` section of tests/digests.json says.  5 Hz/3% never
-        # leaves martensite, so its cycle is found only because each skip stops
-        # at the next period boundary; at 5 Hz/10% two period boundaries can
+        # leaves martensite, so it is filled and its cycle closes one period
+        # after the first period boundary; at 5 Hz/10% two period boundaries can
         # carry equal xi pairs with different anchor xi, so the cycle closes
         # only once the anchors repeat too; 30.3 s ends inside a period; within
         # 4 s at 10 Hz the carried state repeats at boundaries while the
@@ -361,7 +395,7 @@ class TestStepActuator:
         assert head.cycle_length and head.steady_index + head.cycle_length < split
         tail = simulate_drive(drive.i_t[split:], drive.i_b[split:], props, env, geom,
                               1 / 2000.0, initial=head.final_state, period=period)
-        for name in TRACE_ARRAYS[1:]:
+        for name in TRACE_ARRAYS:
             joined = np.concatenate((getattr(head, name), getattr(tail, name)))
             assert np.array_equal(joined, getattr(whole, name)), name
         assert tail.final_state == whole.final_state
@@ -382,8 +416,7 @@ class TestStepActuator:
 
     def test_empty_drive_gives_empty_trace(self, props, env, geom):
         trace = simulate_drive(np.zeros(0), np.zeros(0), props, env, geom, 1 / 2000.0)
-        for name in ("t", "delta", "theta", "temp_top", "temp_bottom", "xi_top",
-                     "xi_bottom", "sigma_top", "sigma_bottom"):
+        for name in TRACE_ARRAYS:
             assert getattr(trace, name).shape == (0,), name
         assert trace.max_residual == 0.0
         # no step ran, so nothing moves, also in states built by hand
